@@ -6,6 +6,10 @@ place of the AST-walking interpreter — selected via
 ``EngineSpec.semantics`` (``"compiled"``, the default, degrading
 automatically to ``"interp"`` on :class:`CompileUnsupported`).
 
+:func:`compile_instrumented` lowers an instrumented object, auxiliary
+commands included, for the Fig-11 witness runner
+(:class:`repro.instrument.runner.InstrumentedRunner`).
+
 See :mod:`repro.compile.lower` for the construction and the exact
 observational-equivalence contract with :mod:`repro.semantics.thread`.
 """
@@ -17,6 +21,7 @@ from .lower import (
     SEMANTICS_INTERP,
     SEMANTICS_MODES,
     CompiledProgram,
+    compile_instrumented,
     compile_program,
     compiled_expand_until_visible,
     compiled_thread_step,
@@ -30,6 +35,7 @@ __all__ = [
     "SEMANTICS_COMPILED",
     "SEMANTICS_INTERP",
     "SEMANTICS_MODES",
+    "compile_instrumented",
     "compile_program",
     "compiled_expand_until_visible",
     "compiled_thread_step",

@@ -34,9 +34,24 @@ representation), same histories, observables, abort/blocked behaviour,
 footprints, compression fuel accounting, and the same
 :class:`AtomicLoopDivergence` cut — which the differential suite in
 ``tests/test_compiled_semantics.py`` and the CI reduction guard assert.
-Constructs outside the fragment (the instrumentation commands of
-:mod:`repro.instrument.commands`, user-defined statement subclasses)
-raise :class:`CompileUnsupported` during lowering; engines catch it and
+
+:func:`compile_instrumented` lowers an instrumented object (Fig. 11)
+through the same pass.  The auxiliary commands of
+:mod:`repro.instrument.commands` (``linself``, ``lin(E)``,
+``trylinself``, ``trylin(E)``, ``trylin_ro``, ``commit(p)``, ghost
+code) become block primitives over the speculation set Δ, calling the
+Δ transitions of :mod:`repro.instrument.state` as they are.  An
+instrumented object has no client code, so the σ_c slot of the state
+triples and of the step interface carries the auxiliary state
+``(Δ, tid)`` instead: Δ travels through fused atomic blocks next to the
+CAS that linearizes.  A stuck auxiliary command aborts the step like any
+other fault (:class:`~repro.instrument.semantics.AuxStuck`); the
+instrumented runner re-runs an aborted step on the interpreter, which
+writes its failure record.
+
+Constructs outside the fragment (the instrumentation commands in a plain
+program, user-defined statement subclasses) raise
+:class:`CompileUnsupported` during lowering; engines catch it and
 degrade to the interpreter.
 """
 
@@ -46,10 +61,12 @@ import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.cfg import ASSUME, build_cfg
+from ..assertions.patterns import commit_filter
 from ..errors import (
     AtomicLoopDivergence,
     CompileUnsupported,
     EvalError,
+    InstrumentationError,
     SemanticsError,
 )
 from ..lang.ast import (
@@ -71,10 +88,22 @@ from ..lang.ast import (
     Store as StoreStmt,
     While,
 )
+from ..instrument.commands import (
+    AUX_STMTS,
+    Commit,
+    Ghost,
+    LinSelf,
+    TryLin,
+    TryLinReadOnly,
+    TryLinSelf,
+)
+from ..instrument.semantics import AuxStuck
+from ..instrument.state import delta_lin, delta_trylin, delta_trylin_readonly
 from ..lang.program import Program
 from ..memory.heap import QUARANTINE_KEY, allocate, dispose
 from ..memory.store import Store
 from ..reduce.footprint import Footprint
+from ..semantics.eval import lookup_in
 from ..semantics.events import (
     CltAbortEvent,
     InvokeEvent,
@@ -338,10 +367,10 @@ class CompiledProgram:
     """
 
     __slots__ = ("program", "steps", "comps", "controls", "entry_threads",
-                 "stats", "fp_templates")
+                 "stats", "fp_templates", "method_entries")
 
     def __init__(self, program, steps, comps, controls, entry_threads,
-                 stats, fp_templates=()):
+                 stats, fp_templates=(), method_entries=None):
         self.program = program
         self.steps = steps
         self.comps = comps
@@ -352,6 +381,9 @@ class CompiledProgram:
         #: — the static footprint of stepping that control when the step is
         #: provably eventless, else ``None`` (sleep-set independence input).
         self.fp_templates = fp_templates
+        #: Instrumented lowering only: method name -> the compiled entry
+        #: control of its body (as a call would push it).
+        self.method_entries = method_entries or {}
 
     @property
     def n_pcs(self) -> int:
@@ -415,9 +447,20 @@ def _ctx_free(control) -> bool:
 
 
 class _Lowerer:
-    def __init__(self, program: Program):
-        self.program = program
-        self.impl = program.object_impl
+    """One lowering pass.  ``source`` is what the tables are built for
+    (a :class:`Program`, or an instrumented object); ``impl`` supplies
+    the methods and the initial object memory.  ``spec`` (the
+    specification Γ) is given exactly when lowering instrumented code:
+    it brings the auxiliary commands into the fragment."""
+
+    def __init__(self, source, impl, clients: Tuple[Stmt, ...] = (),
+                 private_client_vars: bool = False, spec=None):
+        self.program = source
+        self.impl = impl
+        self.clients = clients
+        self.private_client_vars = private_client_vars
+        self.spec = spec
+        self.aux_types = frozenset(AUX_STMTS if spec is not None else ())
         self.obj_vars = frozenset(
             k for k in self.impl.initial_memory if isinstance(k, str))
         self.client_ctx = _Ctx(False, frozenset(), self.obj_vars, "client")
@@ -445,7 +488,8 @@ class _Lowerer:
         units = [(f"method {name}", self.impl.methods[name].body)
                  for name in sorted(self.impl.methods)]
         units += [(f"client {i}", client)
-                  for i, client in enumerate(self.program.clients, 1)]
+                  for i, client in enumerate(self.clients, 1)]
+        leaf_types = _LEAF_TYPES | self.aux_types
         for label, body in units:
             cfg = build_cfg(body)
             regions = set()
@@ -456,7 +500,7 @@ class _Lowerer:
                     self.assume_edges += 1
                     continue
                 stmt = edge.stmt
-                if type(stmt) not in _LEAF_TYPES:
+                if type(stmt) not in leaf_types:
                     raise CompileUnsupported(
                         f"{label}: statement '{stmt}' "
                         f"({type(stmt).__name__}) is outside the "
@@ -491,7 +535,7 @@ class _Lowerer:
     def method_ctx(self, name: str) -> _Ctx:
         ctx = self.method_ctxs.get(name)
         if ctx is None:
-            mdef = self.impl.method(name)
+            mdef = self.impl.methods[name]
             declared = frozenset(mdef.locals) | {mdef.param, "cid"}
             ctx = _Ctx(True, declared, self.obj_vars, f"method {name}")
             self.method_ctxs[name] = ctx
@@ -504,7 +548,16 @@ class _Lowerer:
         entry_threads = tuple(
             ThreadState(self.intern(push_control(client, ()),
                                     self.client_ctx))
-            for client in self.program.clients)
+            for client in self.clients)
+        # Instrumented objects have no clients: the runner invokes the
+        # methods itself, at the same entry controls a call would push.
+        method_entries = {}
+        if self.spec is not None:
+            method_entries = {
+                name: self.intern(
+                    push_control(self.impl.methods[name].body, (_NORET,)),
+                    self.method_ctx(name))
+                for name in sorted(self.impl.methods)}
         while self.pending:
             self.build(self.pending.pop())
         stats = {
@@ -518,7 +571,7 @@ class _Lowerer:
             for control, ctx in zip(self.controls, self.ctxs))
         return CompiledProgram(self.program, self.steps, self.comps,
                                tuple(self.controls), entry_threads, stats,
-                               fp_templates)
+                               fp_templates, method_entries)
 
     def build(self, pc: int) -> None:
         control = self.controls[pc]
@@ -540,7 +593,8 @@ class _Lowerer:
             self.steps[pc] = self.abort_step()
         elif cls is Print:
             self.build_print(pc, head, rest, ctx)
-        elif cls is Atomic or cls in _PRIM_HEAD_TYPES:
+        elif cls is Atomic or cls in _PRIM_HEAD_TYPES \
+                or cls in self.aux_types:
             self.build_block(pc, head, rest, ctx)
         else:
             raise CompileUnsupported(
@@ -644,7 +698,7 @@ class _Lowerer:
                 return [(on_true if taken else on_false, frame, sc)]
 
             return comp
-        if not self.program.private_client_vars:
+        if not self.private_client_vars:
             return None
         dyn = tuple(fvs)
         privf = compile_bool(stmt.cond, read_private)
@@ -809,7 +863,7 @@ class _Lowerer:
                                frame.caller_control, frame.method), sc)]
 
             return comp
-        if not self.program.private_client_vars:
+        if not self.private_client_vars:
             return None
         dyn = tuple(fvs)
         privf = compile_expr(head.expr, read_private)
@@ -861,7 +915,7 @@ class _Lowerer:
                 return out
 
             return comp
-        if not self.program.private_client_vars:
+        if not self.private_client_vars:
             return None
         dyn = tuple(fvs)
         choicefs = tuple(compile_expr(c, read_private)
@@ -952,7 +1006,74 @@ class _Lowerer:
         if cls in _ATOMIC_BANNED or isinstance(stmt, _ATOMIC_BANNED):
             raise CompileUnsupported(
                 f"'{stmt}' may not occur inside an atomic block")
+        if cls in self.aux_types:
+            return self.compile_aux(stmt, ctx)
         return self.compile_prim(stmt, ctx)
+
+    def compile_aux(self, stmt, ctx):
+        """An auxiliary command (Fig. 11) as a block primitive over the
+        ``(Δ, tid)`` pair in the σ_c slot, mirroring
+        :func:`repro.instrument.semantics.instrumented_handler`."""
+
+        spec = self.spec
+        cls = type(stmt)
+        if cls is Ghost:
+            inner = self.compile_block(stmt.stmt, ctx)
+
+            # The interpreter runs ghost code in a fresh ``run_block``,
+            # which restarts the loop fuel.
+            def run(st, fp, alloc, fuel):
+                return inner(st, fp, alloc, ATOMIC_LOOP_FUEL)
+
+            return run
+        if cls is TryLinReadOnly:
+            method = stmt.method
+
+            def run(st, fp, alloc, fuel):
+                delta, tid = st[1]
+                return [(st[0], (delta_trylin_readonly(spec, delta, method),
+                                 tid), st[2])]
+
+            return run
+        if cls is Commit:
+            assertion = stmt.assertion
+
+            def run(st, fp, alloc, fuel):
+                delta, tid = st[1]
+                base = lookup_in(st[0], st[2])
+
+                def lookup(name):
+                    # ``cid`` in a commit assertion is the current thread.
+                    return tid if name == "cid" else base(name)
+
+                outcome = commit_filter(assertion, delta, lookup)
+                if not outcome.ok:
+                    raise AuxStuck(outcome.reason)
+                return [(st[0], (outcome.kept, tid), st[2])]
+
+            return run
+
+        # linself / lin(E) / trylinself / trylin(E)
+        trying = cls is TryLinSelf or cls is TryLin
+        transition = delta_trylin if trying else delta_lin
+        tidf = (None if cls is LinSelf or cls is TryLinSelf
+                else compile_expr(stmt.tid, ctx.resolver))
+
+        def run(st, fp, alloc, fuel):
+            delta, tid = st[1]
+            target = tid
+            if tidf is not None:
+                try:
+                    target = tidf(st[0], st[1], st[2])
+                except EvalError as exc:
+                    raise Fault(str(exc))
+            try:
+                delta = transition(spec, delta, target)
+            except InstrumentationError as exc:
+                raise AuxStuck(str(exc))
+            return [(st[0], (delta, tid), st[2])]
+
+        return run
 
     def compile_prim(self, stmt, ctx):
         cls = type(stmt)
@@ -1151,12 +1272,29 @@ class _Lowerer:
 # Entry point
 # ---------------------------------------------------------------------------
 
-#: Per-program compilation cache.  Keyed weakly so retired programs do
-#: not pin their tables; lowering is deterministic, so equal programs
-#: (e.g. a pickled copy in a parallel worker) get identical pc numbering
-#: whether or not they share a cache entry.
-_CACHE: "weakref.WeakKeyDictionary[Program, CompiledProgram]" = \
+#: Per-program (and per-instrumented-object) compilation cache.  Keyed
+#: weakly so retired programs do not pin their tables; lowering is
+#: deterministic, so equal programs (e.g. a pickled copy in a parallel
+#: worker) get identical pc numbering whether or not they share a cache
+#: entry.
+_CACHE: "weakref.WeakKeyDictionary[object, CompiledProgram]" = \
     weakref.WeakKeyDictionary()
+
+
+def _cached_lowering(key, lowerer: Callable[[], _Lowerer]
+                     ) -> CompiledProgram:
+    try:
+        cached = _CACHE.get(key)
+    except TypeError:  # unhashable/unweakrefable exotic subclass
+        return lowerer().lower()
+    if cached is not None:
+        return cached
+    compiled = lowerer().lower()
+    try:
+        _CACHE[key] = compiled
+    except TypeError:
+        pass
+    return compiled
 
 
 def compile_program(program: Program) -> CompiledProgram:
@@ -1166,15 +1304,22 @@ def compile_program(program: Program) -> CompiledProgram:
     fragment; callers degrade to the interpreted semantics.
     """
 
-    try:
-        cached = _CACHE.get(program)
-    except TypeError:  # unhashable/unweakrefable exotic subclass
-        return _Lowerer(program).lower()
-    if cached is not None:
-        return cached
-    compiled = _Lowerer(program).lower()
-    try:
-        _CACHE[program] = compiled
-    except TypeError:
-        pass
-    return compiled
+    return _cached_lowering(program, lambda: _Lowerer(
+        program, program.object_impl, program.clients,
+        program.private_client_vars))
+
+
+def compile_instrumented(iobj) -> CompiledProgram:
+    """Lower an :class:`~repro.instrument.runner.InstrumentedObject`
+    (cached per object): its methods, auxiliary commands included, with
+    ``method_entries`` naming each body's entry pc and no client
+    threads.
+
+    Steps take and return the auxiliary state ``(Δ, tid)`` in the σ_c
+    slot (see the module docstring).  Raises :class:`CompileUnsupported`
+    outside the fragment; the instrumented runner then degrades to the
+    interpreter.
+    """
+
+    return _cached_lowering(iobj, lambda: _Lowerer(
+        iobj, iobj, spec=iobj.spec))

@@ -247,11 +247,10 @@ def _instrumented_problem_key(runner) -> tuple:
 def dispatch_instrumented(runner, spec: EngineSpec):
     """Serve one :meth:`~repro.instrument.runner.InstrumentedRunner.run`."""
 
-    from ..instrument.runner import InstrumentedRunResult
-
     cache, key, hit = _memo_lookup(spec, "instrumented",
                                    _instrumented_problem_key(runner),
-                                   runner.limits, _rw_extras(spec))
+                                   runner.limits,
+                                   _rw_extras(spec) + _semantics_extras(spec))
     if hit is not None:
         return hit
 
@@ -263,7 +262,7 @@ def dispatch_instrumented(runner, spec: EngineSpec):
     elif spec.kind == PARALLEL:
         from .parallel import InstrumentedProblem, run_parallel
 
-        probe = InstrumentedRunResult(engine="parallel")
+        probe = runner.new_result(engine="parallel")
         start = runner.initial_config(probe)
         if start is None:
             probe.ok = False
@@ -273,7 +272,7 @@ def dispatch_instrumented(runner, spec: EngineSpec):
                                   spec.effective_workers(),
                                   spec.spill_nodes)
     else:
-        result = InstrumentedRunResult()
+        result = runner.new_result()
         start = runner.initial_config(result)
         if start is None:
             result.ok = False

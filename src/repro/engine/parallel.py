@@ -409,11 +409,14 @@ class InstrumentedProblem:
         self.runner = runner
         self.start = start
         self.max_nodes = runner.limits.max_nodes
+        # Structural digests of every expanded node, across all tasks:
+        # lets the parent re-submit a spilled node until some task has
+        # expanded it (see ExploreProblem), and attributes each expansion
+        # once in ``nodes``.
+        self.expanded_digests = set()
 
     def new_accumulator(self):
-        from ..instrument.runner import InstrumentedRunResult
-
-        acc = InstrumentedRunResult(engine="parallel")
+        acc = self.runner.new_result(engine="parallel")
         acc.histories.add(())
         return acc
 
@@ -422,14 +425,21 @@ class InstrumentedProblem:
 
     def run_task(self, nodes, budget):
         from ..instrument.runner import InstrumentedRunResult
+        from .canonical import canonical_digest
 
-        partial = InstrumentedRunResult()
+        partial = InstrumentedRunResult(expanded_keys=[])
         spill = self.runner.run_from(list(nodes), budget, partial)
+        partial.expanded_keys = [canonical_digest(k)
+                                 for k in partial.expanded_keys]
         return partial, spill
 
     def merge(self, acc, partial) -> None:
         acc.failures.extend(partial.failures)
-        acc.nodes += partial.nodes
+        expanded = self.expanded_digests
+        for digest in partial.expanded_keys:
+            if digest not in expanded:
+                expanded.add(digest)
+                acc.nodes += 1
         acc.bounded = acc.bounded or partial.bounded
         acc.histories |= partial.histories
         acc.ok = not acc.failures

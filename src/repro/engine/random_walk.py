@@ -167,10 +167,8 @@ def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
 def random_walk_instrumented(runner, walks: int = 256, seed: int = 0):
     """Sampled instrumented-obligation check over one runner workload."""
 
-    from ..instrument.runner import InstrumentedRunResult
-
     rng = random.Random(seed)
-    result = InstrumentedRunResult(engine="random-walk", exhaustive=False)
+    result = runner.new_result(engine="random-walk", exhaustive=False)
     start = runner.initial_config(result)
     if start is None:
         result.ok = False

@@ -24,6 +24,15 @@ the explored space has a legal linearization — the Δ evolution *is* the
 linearization witness, driven by the instrumentation instead of by
 search.  This is the operational content of Theorem 8 on the bounded
 state space.
+
+By default the runner steps through the transition tables of
+:func:`repro.compile.compile_instrumented` (thread controls are
+``(pc,)``), lowered once per object.  ``EngineSpec(semantics="interp")``
+— or an object outside the compiled fragment, recorded in the result's
+``semantics_reasons`` — runs the Fig-11 interpreter instead
+(:func:`~repro.semantics.thread.run_block` with
+:func:`~repro.instrument.semantics.instrumented_handler`), which is also
+the differential oracle for the tables.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..errors import BoundExceeded, InstrumentationError
-from ..lang.ast import Atomic, If, Noret, Return, Seq, Skip, Stmt, While
+from ..errors import BoundExceeded, CompileUnsupported, InstrumentationError
+from ..lang.ast import Atomic, If, Noret, Return, Seq, Stmt, While
 from ..lang.program import MethodDef, ObjectImpl
 from ..memory.store import Store
 from ..semantics.eval import EvalError, eval_bool_in, eval_in
@@ -68,13 +77,19 @@ from .state import (
 SharedView = Tuple[Store, Delta]
 
 #: ``I(σ_o, Δ)`` — return True, or False / a reason string on violation.
+#: Must be pure: a deterministic function of its arguments, without side
+#: effects.  The runner checks it only on the target of a shared
+#: transition not already checked in the run (see :data:`Guarantee`).
 Invariant = Callable[[Store, Delta], object]
 
-#: ``G(before, after, tid)`` — True iff the step is allowed.
+#: ``G(before, after, tid)`` — True iff the step is allowed.  Must be
+#: pure, like :data:`Invariant`: each distinct ``(before, after, tid)``
+#: transition is checked once per run.
 Guarantee = Callable[[SharedView, SharedView, int], bool]
 
 _NORET = Noret()
 _EMPTY = Store()
+_IDLE = ThreadState((), None)
 
 
 @dataclass(frozen=True)
@@ -165,6 +180,15 @@ class InstrumentedRunResult:
     engine: str = "sequential"
     exhaustive: bool = True
     from_cache: bool = False
+    #: The step semantics actually used: ``"compiled"`` (transition
+    #: tables) or ``"interp"`` (the Fig-11 interpreter).
+    semantics: str = "interp"
+    #: Why a requested ``"compiled"`` degraded to ``"interp"`` (empty
+    #: when nothing degraded).
+    semantics_reasons: Tuple[str, ...] = ()
+    #: Search-node keys expanded by ``run_from``, collected only when set
+    #: to a list (the parallel engine's cross-task expansion dedup).
+    expanded_keys: Optional[List] = None
 
     def summary(self) -> str:
         if self.exhaustive:
@@ -208,12 +232,60 @@ class InstrumentedRunner:
         # by default histories are diagnostic only.
         self.history_complete = history_complete
         self.engine = engine
+        #: Shared transitions ``(before, after, tid)`` whose obligations
+        #: held, for the current run (see :meth:`_check_shared`).
+        self._checked: Set[tuple] = set()
+
+        # Lowered once per object, like the Explorer's programs.  The
+        # tables are closures: parallel workers inherit them through
+        # ``fork`` and only the int controls of search nodes cross
+        # process boundaries.  Imported lazily: repro.compile builds on
+        # repro.analysis, which builds on this module.
+        from ..compile import (
+            SEMANTICS_COMPILED,
+            SEMANTICS_INTERP,
+            compile_instrumented,
+            compiled_expand_until_visible,
+        )
+        from ..engine.api import resolve_engine
+
+        self.compiled = None
+        self.semantics_reasons: Tuple[str, ...] = ()
+        if resolve_engine(engine).semantics == SEMANTICS_COMPILED:
+            try:
+                self.compiled = compile_instrumented(iobj)
+            except CompileUnsupported as exc:
+                self.semantics_reasons = (str(exc),)
+        self.semantics = (SEMANTICS_COMPILED if self.compiled is not None
+                          else SEMANTICS_INTERP)
+        self._compiled_visible = compiled_expand_until_visible
+
+    def new_result(self, **fields) -> InstrumentedRunResult:
+        """An empty result carrying this runner's semantics provenance."""
+
+        return InstrumentedRunResult(
+            semantics=self.semantics,
+            semantics_reasons=self.semantics_reasons, **fields)
 
     # -- obligations ---------------------------------------------------------
 
     def _check_shared(self, result: InstrumentedRunResult,
                       before: Optional[SharedView], after: SharedView,
                       tid: int, hist: Trace) -> bool:
+        # Every check below is a function of (before, after, tid) alone
+        # (I and G are pure), so a transition that passed once passes
+        # again; failures are re-checked so each gets its record.
+        key = (before, after, tid)
+        if key in self._checked:
+            return True
+        if not self._check_shared_once(result, before, after, tid, hist):
+            return False
+        self._checked.add(key)
+        return True
+
+    def _check_shared_once(self, result: InstrumentedRunResult,
+                           before: Optional[SharedView], after: SharedView,
+                           tid: int, hist: Trace) -> bool:
         sigma_o, delta = after
         if not delta:
             result.failures.append(FailureRecord(
@@ -245,8 +317,10 @@ class InstrumentedRunner:
                        ) -> Optional[IConfig]:
         """The start configuration, or ``None`` when an initial-state
         obligation (``φ(σ_o) = θ``, ``I`` on the initial Δ) already fails
-        — the failure is recorded in ``result``."""
+        — the failure is recorded in ``result``.  Every engine starts a
+        run here, so this also empties the set of checked transitions."""
 
+        self._checked = set()
         spec = self.iobj.spec
         if self.iobj.phi is not None:
             theta = self.iobj.phi.of(Store(self.iobj.initial_memory))
@@ -257,8 +331,8 @@ class InstrumentedRunner:
                 return None
         sigma_o = Store(self.iobj.initial_memory)
         delta0 = singleton_delta(Store(), spec.initial)
-        idle = ThreadState((), None)
-        start = IConfig(tuple((idle, self.ops) for _ in range(self.n_threads)),
+        start = IConfig(tuple((_IDLE, self.ops)
+                              for _ in range(self.n_threads)),
                         sigma_o, delta0)
         result.histories.add(())
         if not self._check_shared(result, None, (sigma_o, delta0), 0, ()):
@@ -280,7 +354,7 @@ class InstrumentedRunner:
 
             return dispatch_instrumented(self, engine_spec)
 
-        result = InstrumentedRunResult()
+        result = self.new_result()
         start = self.initial_config(result)
         if start is None:
             result.ok = False
@@ -316,6 +390,8 @@ class InstrumentedRunner:
             config, hist, depth = stack.pop()
             expanded_here += 1
             result.nodes += 1
+            if result.expanded_keys is not None:
+                result.expanded_keys.append(key(config, hist))
             if depth >= self.limits.max_depth:
                 result.bounded = True
                 continue
@@ -336,6 +412,7 @@ class InstrumentedRunner:
 
     def _expand(self, config: IConfig, hist: Trace,
                 result: InstrumentedRunResult):
+        step = self._step if self.compiled is None else self._step_compiled
         out = []
         for idx, (tstate, ops_left) in enumerate(config.threads):
             tid = idx + 1
@@ -344,7 +421,7 @@ class InstrumentedRunner:
                     out.extend(self._invoke(config, idx, tid, ops_left,
                                             hist, result))
                 continue
-            out.extend(self._step(config, idx, tid, ops_left, hist, result))
+            out.extend(step(config, idx, tid, ops_left, hist, result))
         return out
 
     def _replace(self, config: IConfig, idx: int, tstate: ThreadState,
@@ -353,6 +430,13 @@ class InstrumentedRunner:
                    + ((tstate, ops_left),)
                    + config.threads[idx + 1:])
         return IConfig(threads, sigma_o, delta)
+
+    def _visible(self, tstate: ThreadState, sigma_o: Store):
+        """The thread states ``tstate`` reaches by invisible steps."""
+
+        if self.compiled is not None:
+            return self._compiled_visible(self.compiled, tstate, _EMPTY)
+        return expand_until_visible(tstate, _EMPTY, sigma_o)
 
     def _invoke(self, config: IConfig, idx: int, tid: int, ops_left: int,
                 hist: Trace, result: InstrumentedRunResult):
@@ -363,7 +447,10 @@ class InstrumentedRunner:
                                  **{v: 0 for v in mdef.locals}})
             frame = Frame(locals=locals_init, retvar="", caller_control=(),
                           method=method)
-            control = push_control(mdef.body, (_NORET,))
+            if self.compiled is not None:
+                control = self.compiled.method_entries[method]
+            else:
+                control = push_control(mdef.body, (_NORET,))
             delta = delta_add_thread(config.delta, tid, op_of(method, arg))
             event = InvokeEvent(tid, method, arg)
             new_hist = hist + (event,)
@@ -371,14 +458,16 @@ class InstrumentedRunner:
                                       (config.sigma_o, delta), tid, new_hist):
                 out.append((None, event))
                 continue
-            for ts, _sc in expand_until_visible(
-                    ThreadState(control, frame), _EMPTY, config.sigma_o):
+            for ts, _sc in self._visible(ThreadState(control, frame),
+                                         config.sigma_o):
                 out.append((self._replace(config, idx, ts, ops_left - 1,
                                           config.sigma_o, delta), event))
         return out
 
     def _step(self, config: IConfig, idx: int, tid: int, ops_left: int,
               hist: Trace, result: InstrumentedRunResult):
+        """One transition of thread ``tid``, interpreted."""
+
         tstate = config.threads[idx][0]
         stmt = tstate.control[0]
         rest = tstate.control[1:]
@@ -398,22 +487,8 @@ class InstrumentedRunner:
                     "fault", f"return expression fault in {frame.method}: "
                              f"{exc}", hist))
                 return [(None, None)]
-            bad = [pair for pair in delta
-                   if pair[0].get(tid) != end_of(value)]
-            event = ReturnEvent(tid, value)
-            new_hist = hist + (event,)
-            if bad:
-                result.failures.append(FailureRecord(
-                    "return", f"thread {tid} returns {value} from "
-                    f"{frame.method} but {len(bad)} speculation(s) disagree "
-                    f"(e.g. {bad[0][0].get(tid)!r})", new_hist))
-                return [(None, event)]
-            delta2 = delta_remove_thread(delta, tid)
-            if not self._check_shared(result, (sigma_o, delta),
-                                      (sigma_o, delta2), tid, new_hist):
-                return [(None, event)]
-            return [(self._replace(config, idx, ThreadState((), None),
-                                   ops_left, sigma_o, delta2), event)]
+            return self._return(config, idx, tid, ops_left, frame,
+                                ReturnEvent(tid, value), hist, result)
         if isinstance(stmt, Noret):
             result.failures.append(FailureRecord(
                 "noret", f"method {frame.method} of thread {tid} terminated "
@@ -434,8 +509,8 @@ class InstrumentedRunner:
             else:
                 control = rest
             return self._finish_step(config, idx, tid, ops_left,
-                                     control, frame, sigma_o, delta,
-                                     hist, result)
+                                     ThreadState(control, frame), sigma_o,
+                                     delta, hist, result)
 
         # Atomic blocks, primitives and auxiliary commands: one visible
         # transition through the sequential executor with the Fig. 11
@@ -462,23 +537,88 @@ class InstrumentedRunner:
             frame2 = Frame(fin.locals, frame.retvar, frame.caller_control,
                            frame.method)
             out.extend(self._finish_step(
-                config, idx, tid, ops_left, rest, frame2, fin.sigma_o,
-                fin.extra.delta, hist, result))
+                config, idx, tid, ops_left, ThreadState(rest, frame2),
+                fin.sigma_o, fin.extra.delta, hist, result))
         return out
 
+    def _step_compiled(self, config: IConfig, idx: int, tid: int,
+                       ops_left: int, hist: Trace,
+                       result: InstrumentedRunResult):
+        """One transition of thread ``tid`` through the tables of
+        :func:`compile_instrumented`: the step gets the auxiliary state
+        ``(Δ, tid)`` in its σ_c slot and returns the updated pair in each
+        outcome's σ_c."""
+
+        tstate = config.threads[idx][0]
+        pc = tstate.control[0]
+        frame = tstate.frame
+        try:
+            outcomes = self.compiled.steps[pc](
+                tid, frame, (config.delta, tid), config.sigma_o, False, None)
+        except BoundExceeded:
+            return self._failed_step(config, idx, tid, ops_left, pc, frame,
+                                     hist, result)
+        out = []
+        for oc in outcomes:
+            if oc.thread_state is None:
+                return self._failed_step(config, idx, tid, ops_left, pc,
+                                         frame, hist, result)
+            if oc.event is not None:  # the only event a method emits
+                return self._return(config, idx, tid, ops_left, frame,
+                                    oc.event, hist, result)
+            out.extend(self._finish_step(
+                config, idx, tid, ops_left, oc.thread_state, oc.sigma_o,
+                oc.sigma_c[0], hist, result))
+        return out
+
+    def _failed_step(self, config: IConfig, idx: int, tid: int,
+                     ops_left: int, pc: int, frame: Frame, hist: Trace,
+                     result: InstrumentedRunResult):
+        """A compiled step at ``pc`` aborted: the interpreter re-runs it
+        from the same control, and its failure record is the one kept."""
+
+        tstate = ThreadState(self.compiled.controls[pc], frame)
+        config = self._replace(config, idx, tstate, ops_left,
+                               config.sigma_o, config.delta)
+        recorded = len(result.failures)
+        out = self._step(config, idx, tid, ops_left, hist, result)
+        assert len(result.failures) > recorded, (
+            f"compiled step at pc {pc} aborted, the interpreter did not")
+        return out
+
+    def _return(self, config: IConfig, idx: int, tid: int, ops_left: int,
+                frame: Frame, event: ReturnEvent, hist: Trace,
+                result: InstrumentedRunResult):
+        """The ``return E`` rule: every speculation must have ended the
+        thread's operation with ``[[E]]``; then its entry leaves Δ."""
+
+        sigma_o, delta = config.sigma_o, config.delta
+        value = event.value
+        new_hist = hist + (event,)
+        bad = [pair for pair in delta if pair[0].get(tid) != end_of(value)]
+        if bad:
+            result.failures.append(FailureRecord(
+                "return", f"thread {tid} returns {value} from "
+                f"{frame.method} but {len(bad)} speculation(s) disagree "
+                f"(e.g. {bad[0][0].get(tid)!r})", new_hist))
+            return [(None, event)]
+        delta2 = delta_remove_thread(delta, tid)
+        if not self._check_shared(result, (sigma_o, delta),
+                                  (sigma_o, delta2), tid, new_hist):
+            return [(None, event)]
+        return [(self._replace(config, idx, _IDLE, ops_left, sigma_o,
+                               delta2), event)]
+
     def _finish_step(self, config: IConfig, idx: int, tid: int,
-                     ops_left: int, control, frame, sigma_o: Store,
+                     ops_left: int, tstate: ThreadState, sigma_o: Store,
                      delta: Delta, hist: Trace,
                      result: InstrumentedRunResult):
         if not self._check_shared(result, (config.sigma_o, config.delta),
                                   (sigma_o, delta), tid, hist):
             return [(None, None)]
-        out = []
-        for ts, _sc in expand_until_visible(
-                ThreadState(control, frame), _EMPTY, sigma_o):
-            out.append((self._replace(config, idx, ts, ops_left,
-                                      sigma_o, delta), None))
-        return out
+        return [(self._replace(config, idx, ts, ops_left, sigma_o, delta),
+                 None)
+                for ts, _sc in self._visible(tstate, sigma_o)]
 
     def _step_with(self, config, idx, tid, ops_left, tstate, hist, result):
         cfg = self._replace(config, idx, tstate, ops_left,

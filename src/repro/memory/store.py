@@ -10,6 +10,7 @@ assertion semantics (Fig. 8).
 
 from __future__ import annotations
 
+from collections.abc import Mapping as AbcMapping
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from ..errors import SemanticsError
@@ -27,12 +28,15 @@ class Store(Mapping[Key, int]):
     __slots__ = ("_data", "_hash")
 
     def __init__(self, mapping: Union[Mapping, Iterable, None] = None):
-        if mapping is None:
-            data: Dict[Key, int] = {}
+        # Plain dicts first, by exact type: stores are built from them on
+        # hot paths.  Any other mapping or iterable of pairs goes through
+        # ``dict``.
+        if type(mapping) is dict:
+            data: Dict[Key, int] = dict(mapping)
+        elif mapping is None:
+            data = {}
         elif isinstance(mapping, Store):
             data = dict(mapping._data)
-        elif isinstance(mapping, Mapping):
-            data = dict(mapping)
         else:
             data = dict(mapping)
         self._data = data
@@ -138,7 +142,7 @@ class Store(Mapping[Key, int]):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Store):
             return self._data == other._data
-        if isinstance(other, Mapping):
+        if isinstance(other, AbcMapping):
             return dict(self._data) == dict(other)
         return NotImplemented
 

@@ -124,30 +124,28 @@ class TestCcasEncoding:
 
 class TestHsyHelping:
     def test_elimination_is_reachable(self):
-        """The lin(him) path genuinely fires in the standard workload."""
+        """The lin(him) path genuinely fires in the standard workload: a
+        step of one thread ends another thread's pending operation."""
 
-        import repro.instrument.runner as runner_mod
-        from repro.instrument.commands import Lin
-        from repro.instrument.semantics import instrumented_handler
-        from repro.lang import Var
-        from repro.semantics.eval import eval_in
+        from repro.instrument import is_end, verify_instrumented
 
-        hits = []
+        alg = get_algorithm("hsy_stack")
+        helped = []
 
-        def probe(stmt, env):
-            if isinstance(stmt, Lin) and stmt.tid != Var("cid"):
-                hits.append(eval_in(stmt.tid, *env.read_stores()))
-            return instrumented_handler(stmt, env)
+        def guarantee(before, after, tid):
+            pending = {t for u, _ in before[1] for t in u
+                       if t != tid and not is_end(u[t])}
+            for t in pending:
+                if all(t in u and is_end(u[t]) for u, _ in after[1]):
+                    helped.append((tid, t))
+            return alg.guarantee(before, after, tid)
 
-        original = runner_mod.instrumented_handler
-        runner_mod.instrumented_handler = probe
-        try:
-            alg = get_algorithm("hsy_stack")
-            res = alg.verify_instrumentation()
-            assert res.ok
-            assert hits, "elimination never fired: dead helping path"
-        finally:
-            runner_mod.instrumented_handler = original
+        w = alg.workload
+        res = verify_instrumented(alg.instrumented, w.menu, w.threads,
+                                  w.ops_per_thread, alg.limits,
+                                  alg.invariant, guarantee)
+        assert res.ok
+        assert helped, "elimination never fired: dead helping path"
 
     def test_elimination_preserves_stack(self):
         """lin(cid); lin(him) is a net no-op on the abstract stack."""

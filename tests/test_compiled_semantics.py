@@ -35,10 +35,28 @@ from repro.errors import (
     ReproError,
     SemanticsError,
 )
+from repro.algorithms.counter_nonatomic import instrumented_racy_counter
+from repro.assertions.patterns import ThreadDone, commit_p, pattern
 from repro.history.object_lin import check_object_linearizable
+from repro.instrument import (
+    InstrumentedMethod,
+    InstrumentedObject,
+    InstrumentedRunner,
+    commit,
+    lin,
+    linself,
+)
 from repro.instrument.commands import LinSelf
-from repro.lang import MethodDef, ObjectImpl, seq
-from repro.lang.builders import assign, atomic, ret, while_true
+from repro.lang import Assign, MethodDef, ObjectImpl, Print, Var, seq
+from repro.lang.builders import (
+    add,
+    assign,
+    atomic,
+    eq,
+    if_,
+    ret,
+    while_true,
+)
 from repro.lang.parser import parse_method
 from repro.semantics.abstract import AbstractExplorer, AbstractProgram
 from repro.semantics.mgc import mgc_program
@@ -356,3 +374,181 @@ def test_fuel_exhaustion_surfaces_in_abstract_explorer():
     assert result.diagnostics
     assert "fuel" in result.diagnostics[0]
     assert result.bounded
+
+
+# ---------------------------------------------------------------------------
+# The Fig-11 witness runner on the transition tables
+# ---------------------------------------------------------------------------
+
+#: The registry rows plus the two machine-instrumented entries.
+_WITNESS_NAMES = algorithm_names(include_synthesized=True)
+
+
+def _witness(iobj, menu, engine, limits=None, invariant=None,
+             guarantee=None, threads=_DIFF_THREADS, ops=_DIFF_OPS):
+    return InstrumentedRunner(iobj, menu, threads, ops, limits, invariant,
+                              guarantee, history_complete=True,
+                              engine=engine).run()
+
+
+def _assert_witnesses_equal(interp, compiled):
+    assert interp.semantics == "interp"
+    assert compiled.semantics == "compiled"
+    assert compiled.semantics_reasons == ()
+    assert compiled.ok == interp.ok
+    assert compiled.bounded == interp.bounded
+    assert compiled.nodes == interp.nodes
+    assert compiled.histories == interp.histories
+    assert ([(f.kind, f.message, f.history) for f in compiled.failures]
+            == [(f.kind, f.message, f.history) for f in interp.failures])
+
+
+@pytest.mark.parametrize("name", _WITNESS_NAMES)
+def test_registry_witness_equal(name):
+    alg = get_algorithm(name)
+    runs = {engine: _witness(alg.instrumented, alg.workload.menu, engine,
+                             alg.limits, alg.invariant, alg.guarantee)
+            for engine in (INTERP, COMPILED)}
+    _assert_witnesses_equal(runs[INTERP], runs[COMPILED])
+    assert runs[COMPILED].ok, runs[COMPILED].summary()
+
+
+def test_racy_counter_witness_equal_and_fails_at_return():
+    iobj = instrumented_racy_counter()
+    runs = {engine: _witness(iobj, [("inc", 0)], engine)
+            for engine in (INTERP, COMPILED)}
+    _assert_witnesses_equal(runs[INTERP], runs[COMPILED])
+    assert not runs[COMPILED].ok
+    assert runs[COMPILED].failures[0].kind == "return"
+
+
+def _one_method(body, locals_=("t",)):
+    imeth = InstrumentedMethod("inc", "u", locals_, body)
+    return InstrumentedObject("probe", {"inc": imeth}, counter_spec(),
+                              {"x": 0})
+
+
+#: One instrumented method per failure record a compiled abort maps to.
+_FAILING_BODIES = {
+    "aux-stuck-lin": (seq(atomic(assign("x", 1), lin(7)), ret(1)),
+                      "aux-stuck"),
+    "aux-stuck-commit": (seq(commit(commit_p(pattern(ThreadDone(Var("cid"), 9)))),
+                             ret(1)),
+                         "aux-stuck"),
+    "fault-block": (seq(assign("t", "nope"), ret(1)), "fault"),
+    "fault-lin-target": (seq(lin("nope"), ret(1)), "fault"),
+    "fault-condition": (seq(if_(eq("nope", 0), linself()), ret(1)),
+                        "fault"),
+    "fault-return": (seq(linself(), ret("nope")), "fault"),
+    "noret": (seq(atomic(assign("x", 1), linself())), "noret"),
+    "bound": (seq(atomic(assign("t", 1), while_true(assign("t", 1))),
+                  ret(1)),
+              "bound"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_BODIES))
+def test_compiled_abort_maps_to_interp_failure_record(case):
+    body, kind = _FAILING_BODIES[case]
+    iobj = _one_method(body)
+    runs = {engine: _witness(iobj, [("inc", 0)], engine, threads=1)
+            for engine in (INTERP, COMPILED)}
+    _assert_witnesses_equal(runs[INTERP], runs[COMPILED])
+    assert runs[COMPILED].failures[0].kind == kind
+
+
+def test_print_inside_instrumented_method_raises_as_interpreted():
+    # Methods may not print (Sec. 3.1).  The tables abort there and the
+    # interpreter's re-run of the step raises, as it does uncompiled.
+    iobj = _one_method(seq(linself(), Print(Var("u")), ret(1)))
+    messages = []
+    for engine in (INTERP, COMPILED):
+        with pytest.raises(SemanticsError) as err:
+            _witness(iobj, [("inc", 0)], engine, threads=1)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "print(u)" in messages[0]
+
+
+@pytest.mark.parametrize("name", ["ms_lock_free_queue", "lazy_list"])
+def test_parallel_and_random_walk_witness_agree(name):
+    alg = get_algorithm(name)
+    args = (alg.instrumented, alg.workload.menu)
+    kw = dict(limits=alg.limits, invariant=alg.invariant,
+              guarantee=alg.guarantee)
+    seq_run = _witness(*args, COMPILED, **kw)
+    # A small spill budget makes the workers hand subtrees back and forth.
+    par = _witness(*args, EngineSpec("parallel", workers=2, spill_nodes=100),
+                   **kw)
+    walk = _witness(*args, EngineSpec("random-walk", seed=7, walks=32), **kw)
+    assert par.semantics == walk.semantics == "compiled"
+    assert par.ok and walk.ok and seq_run.ok
+    assert par.histories == seq_run.histories
+    assert par.nodes == seq_run.nodes
+    assert walk.histories <= seq_run.histories and not walk.exhaustive
+
+
+def test_parallel_and_random_walk_witness_refuse_racy_counter():
+    iobj = instrumented_racy_counter()
+    for engine in (EngineSpec("parallel", workers=2),
+                   EngineSpec("random-walk", seed=1)):
+        result = _witness(iobj, [("inc", 0)], engine)
+        assert result.semantics == "compiled"
+        assert not result.ok
+        assert result.failures[0].kind == "return"
+
+
+class _TracedAssign(Assign):
+    """An assignment subclass: the interpreter runs it as an ``Assign``,
+    the compiler does not know it."""
+
+
+def test_user_statement_subclass_degrades_witness_to_interp():
+    body = seq(atomic(_TracedAssign("t", Var("x")),
+                      assign("x", add("t", 1)), linself()),
+               ret(add("t", 1)))
+    iobj = _one_method(body)
+    degraded = _witness(iobj, [("inc", 0)], COMPILED)
+    assert degraded.semantics == "interp"
+    assert degraded.semantics_reasons
+    assert "compiled fragment" in degraded.semantics_reasons[0]
+    interp = _witness(iobj, [("inc", 0)], INTERP)
+    assert degraded.ok and interp.ok
+    assert degraded.nodes == interp.nodes
+    assert degraded.histories == interp.histories
+
+
+def test_witness_memo_keeps_semantics(tmp_path):
+    alg = get_algorithm("treiber")
+
+    def run(semantics):
+        return _witness(alg.instrumented, alg.workload.menu, EngineSpec(
+            memo=True, cache_dir=str(tmp_path), semantics=semantics))
+
+    first, other, again = run("compiled"), run("interp"), run("compiled")
+    assert not first.from_cache
+    assert not other.from_cache  # interp must miss the compiled entry
+    assert again.from_cache
+    assert again.semantics == first.semantics == "compiled"
+    assert again.semantics_reasons == ()
+    assert other.semantics == "interp"
+
+
+def test_obligations_checked_once_per_distinct_transition():
+    alg = get_algorithm("treiber")
+    states, steps = [], []
+
+    def invariant(sigma_o, delta):
+        states.append((sigma_o, delta))
+        return alg.invariant(sigma_o, delta)
+
+    def guarantee(before, after, tid):
+        steps.append((before, after, tid))
+        return alg.guarantee(before, after, tid)
+
+    result = _witness(alg.instrumented, alg.workload.menu, COMPILED,
+                      alg.limits, invariant, guarantee)
+    assert result.ok
+    assert len(steps) == len(set(steps)) > 0
+    # A shared state is re-checked only as the target of a new step.
+    assert len(set(states)) <= len(states) <= len(steps) + 1

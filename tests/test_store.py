@@ -22,6 +22,22 @@ class TestStoreBasics:
         assert s[3] == 4
         assert len(s) == 2
 
+    def test_init_from_any_mapping_or_pairs(self):
+        from collections import OrderedDict
+        from types import MappingProxyType
+
+        expected = Store({"x": 1, 3: 4})
+        sources = (expected, OrderedDict([("x", 1), (3, 4)]),
+                   MappingProxyType({"x": 1, 3: 4}), [("x", 1), (3, 4)])
+        for source in sources:
+            s = Store(source)
+            assert s == expected and hash(s) == hash(expected)
+        # The dict is copied, never aliased.
+        data = {"x": 1}
+        s = Store(data)
+        data["x"] = 2
+        assert s["x"] == 1
+
     def test_set_is_persistent(self):
         s1 = Store({"x": 1})
         s2 = s1.set("x", 2)
@@ -86,6 +102,8 @@ class TestHashingEquality:
 
     def test_eq_with_plain_mapping(self):
         assert Store({"x": 1}) == {"x": 1}
+        assert Store({"x": 1}) != {"x": 2}
+        assert Store({"x": 1}) != [("x", 1)]  # not a mapping
 
     def test_usable_in_sets(self):
         s = {Store({"x": 1}), Store({"x": 1}), Store({"x": 2})}
