@@ -45,16 +45,10 @@ def _reduce_extras(spec: EngineSpec) -> tuple:
     Reduction preserves the history/observable *sets* and every verdict,
     but changes node counts, terminal-configuration representatives and
     the perf counters carried by results — so reduced and unreduced runs
-    must not share a memo entry.  The coarse-ownership ablation changes
-    the same observables and gets its own entries; the default
-    field-sensitive mode keeps the unsuffixed keys so existing caches
-    stay valid for the programs it does not change.
+    must not share a memo entry.
     """
 
-    extras = ("reduce", spec.reduce)
-    if spec.ownership != "field":
-        extras += ("ownership", spec.ownership)
-    return extras
+    return ("reduce", spec.reduce)
 
 
 def _semantics_extras(spec: EngineSpec) -> tuple:
@@ -124,19 +118,16 @@ def dispatch_explore(program, limits, spec: EngineSpec):
         result = random_walk_explore(program, limits,
                                      walks=spec.walks, seed=spec.seed,
                                      reduce=spec.reduce,
-                                     ownership=spec.ownership,
                                      semantics=spec.semantics)
     elif spec.kind == PARALLEL:
         from .parallel import ExploreProblem, run_parallel
 
         result = run_parallel(ExploreProblem(program, limits,
                                              reduce=spec.reduce,
-                                             ownership=spec.ownership,
                                              semantics=spec.semantics),
                               spec.effective_workers(), spec.spill_nodes)
     else:
         result = Explorer(program, limits, reduce=spec.reduce,
-                          ownership=spec.ownership,
                           semantics=spec.semantics).run()
 
     _memo_store(cache, key, result)
@@ -151,6 +142,7 @@ def dispatch_explore(program, limits, spec: EngineSpec):
 def dispatch_product_lin(program, ospec, limits, theta, spec: EngineSpec):
     """Serve one :func:`~repro.history.object_lin.check_program_linearizable`."""
 
+    from ..history.object_lin import ProductSearch
     from ..semantics.scheduler import Limits
 
     limits = limits or Limits()
@@ -167,7 +159,6 @@ def dispatch_product_lin(program, ospec, limits, theta, spec: EngineSpec):
         result = random_walk_lin(program, ospec, limits,
                                  walks=spec.walks, seed=spec.seed,
                                  theta=theta, reduce=spec.reduce,
-                                 ownership=spec.ownership,
                                  semantics=spec.semantics)
     elif spec.kind == PARALLEL:
         from .parallel import ProductLinProblem, run_parallel
@@ -175,48 +166,15 @@ def dispatch_product_lin(program, ospec, limits, theta, spec: EngineSpec):
         result = run_parallel(ProductLinProblem(program, ospec, limits,
                                                 theta=theta,
                                                 reduce=spec.reduce,
-                                                ownership=spec.ownership,
                                                 semantics=spec.semantics),
                               spec.effective_workers(), spec.spill_nodes)
     else:
-        result = _sequential_product_lin(program, ospec, limits, theta,
-                                         reduce=spec.reduce,
-                                         ownership=spec.ownership,
-                                         semantics=spec.semantics)
+        result = ProductSearch(program, ospec, limits, theta,
+                               reduce=spec.reduce,
+                               semantics=spec.semantics).run()
 
     _memo_store(cache, key, result)
     return result
-
-
-def _sequential_product_lin(program, ospec, limits, theta, reduce=None,
-                            ownership="field", semantics=None):
-    """The exact sequential product search (memoized entry point)."""
-
-    from ..history.monitor import SpecMonitor
-    from ..history.object_lin import (
-        ObjectLinResult,
-        product_run_from,
-        product_start_nodes,
-    )
-    from ..semantics.scheduler import Explorer
-
-    monitor = SpecMonitor(ospec)
-    explorer = Explorer(program, reduce=reduce, ownership=ownership,
-                        semantics=semantics)
-    states0 = monitor.initial(theta)
-    out = ObjectLinResult(ok=True)
-    out.reduce = explorer.policy.effective
-    out.reduce_reasons = explorer.policy.reasons
-    out.semantics = explorer.semantics
-    out.semantics_reasons = explorer.semantics_reasons
-    distinct_histories = {()}
-    spilled = product_run_from(
-        explorer, monitor, limits, product_start_nodes(explorer, states0),
-        limits.max_nodes, out, distinct_histories)
-    if spilled:
-        out.bounded = True
-    out.histories_checked = len(distinct_histories)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +230,7 @@ def dispatch_instrumented(runner, spec: EngineSpec):
                                   spec.effective_workers(),
                                   spec.spill_nodes)
     else:
-        result = runner.new_result()
-        start = runner.initial_config(result)
-        if start is None:
-            result.ok = False
-        else:
-            spilled = runner.run_from([(start, (), 0)],
-                                      runner.limits.max_nodes, result)
-            if spilled:
-                result.bounded = True
-            result.ok = not result.failures
+        result = runner.run_sequential()
 
     _memo_store(cache, key, result)
     return result

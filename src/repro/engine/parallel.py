@@ -7,8 +7,9 @@ distributes them over a ``multiprocessing`` pool:
    producing a first spilled frontier;
 2. frontier nodes are batched into tasks on a shared pool queue; idle
    workers pull the next task — task-level work stealing;
-3. a worker explores its subtree with the *same* ``run_from`` loop the
-   sequential engine uses; when it exceeds its per-task node budget it
+3. a worker explores its subtree with the *same* search the sequential
+   engine runs (:func:`repro.semantics.search.search`, behind each
+   decider's ``run_from``); when it exceeds its per-task node budget it
    returns the unexplored remainder of its stack (a *spill*), which the
    parent deduplicates against a shared seen-set of canonical state
    digests (:mod:`repro.engine.canonical` — statement identity does not
@@ -36,6 +37,12 @@ from __future__ import annotations
 import multiprocessing
 import queue
 
+from ..semantics.search import note_diagnostics
+# The module, not the name: digests are looked up at call time, so a
+# wrapper installed on ``canonical.canonical_digest`` (perfbench/tracing.py)
+# sees them.
+from . import canonical
+
 #: Sequential warm-up budget before going parallel: enough to generate a
 #: healthy first frontier, small enough to not serialise the run.
 WARMUP_NODES = 2_000
@@ -62,21 +69,23 @@ def fork_available() -> bool:
 class ParallelDriver:
     """Generic frontier-partitioning driver over a *problem* object.
 
-    A problem encapsulates one search (plain exploration, the product
-    engine, the instrumented runner) behind five hooks:
+    A problem (a :class:`SearchProblem`) encapsulates one search (plain
+    exploration, the product engine, the instrumented runner) behind
+    these hooks:
 
+    * ``new_accumulator()`` — the empty merged result;
     * ``roots()`` — initial frontier nodes;
     * ``run_task(nodes, budget)`` — explore; return ``(partial, spill)``;
     * ``merge(acc, partial)`` — fold a partial result into the
-      accumulator;
-    * ``dedup_key(node)`` — canonical digest for the shared seen-set;
+      accumulator, recording its expansions in ``expanded_digests``;
+    * ``dedup_key(node)`` — canonical digest of a node's dedup key;
     * ``should_stop(acc)`` — verdict short-circuit;
     * ``node_count(acc)`` / ``max_nodes`` — global node-cap bookkeeping;
     * ``mark_bounded(acc)`` — record that the cap cut the search.
 
-    A problem may also expose an optional ``finalize(acc)`` hook, which
-    :func:`run_parallel` invokes once after the driver returns (e.g. the
-    Sym(n) orbit closure of trace sets under thread-identity symmetry).
+    :func:`run_parallel` invokes the problem's ``finalize(acc)`` once
+    after the driver returns (e.g. the Sym(n) orbit closure of trace sets
+    under thread-identity symmetry).
     """
 
     def __init__(self, problem, workers: int, spill_nodes: int):
@@ -124,14 +133,11 @@ class ParallelDriver:
 
         # Re-spill filtering.  A task's spill includes nodes of its *own*
         # input batch it never got to expand (the budget ran out first),
-        # so filtering re-spills against "was this key ever submitted"
-        # silently dropped those nodes' entire subtrees.  Problems that
-        # track expansions (``expanded_digests``) filter against "was
-        # this node actually expanded" instead — a scheduled-but-spilled
-        # node comes back until some task expands it.  Problems without
-        # the tracking keep the legacy submitted-key filter.
-        expanded = getattr(problem, "expanded_digests", None)
-        seen = {problem.dedup_key(node) for node in spill}
+        # so re-spills are filtered against "was this node actually
+        # expanded" (``expanded_digests``), never against "was it ever
+        # submitted" — a scheduled-but-spilled node comes back until some
+        # task expands it.
+        expanded = problem.expanded_digests
         results: "queue.SimpleQueue" = queue.SimpleQueue()
         pending = 0
         capped = False
@@ -164,21 +170,13 @@ class ParallelDriver:
                 if problem.node_count(acc) >= problem.max_nodes:
                     capped = True
                     break
-                fresh = []
-                for node in spilled:
-                    key = problem.dedup_key(node)
-                    if expanded is not None:
-                        # Merge ran above, so the finished task's own
-                        # expansions are already in the set.  A node can
-                        # be resubmitted while still unexpanded (two
-                        # tasks spilled it concurrently) — duplicate
-                        # work the reexplored counter reports, never a
-                        # lost subtree.
-                        if key not in expanded:
-                            fresh.append(node)
-                    elif key not in seen:
-                        seen.add(key)
-                        fresh.append(node)
+                # Merge ran above, so the finished task's own expansions
+                # are already in the set.  A node can be resubmitted while
+                # still unexpanded (two tasks spilled it concurrently) —
+                # duplicate work the reexplored counter reports, never a
+                # lost subtree.
+                fresh = [node for node in spilled
+                         if problem.dedup_key(node) not in expanded]
                 for i in range(0, len(fresh), MAX_BATCH):
                     submit(fresh[i:i + MAX_BATCH])
         finally:
@@ -194,102 +192,66 @@ class ParallelDriver:
 # ---------------------------------------------------------------------------
 
 
-class ExploreProblem:
-    """Plain interleaving exploration (:class:`repro.semantics.scheduler.Explorer`)."""
+class SearchProblem:
+    """One decider's search under the driver.
 
-    def __init__(self, program, limits, reduce=None, ownership="field",
-                 semantics=None):
-        from ..semantics.scheduler import Explorer
+    ``searcher`` runs the search: ``new_result(**fields)``,
+    ``run_from(nodes, budget, result)`` (a thin call into
+    :func:`repro.semantics.search.search`, so every node is
+    ``(config, label, depth, key)``), and the root nodes.  A subclass
+    adds only its own result-set and verdict merge
+    (:meth:`merge_verdict`), and its verdict short-circuit.
+    """
 
-        self.explorer = Explorer(program, limits, reduce=reduce,
-                                 ownership=ownership, semantics=semantics)
-        self.max_nodes = self.explorer.limits.max_nodes
-        # Canonical-digest view of terminal configs: Config equality is
-        # statement-identity-based and does not survive pickling, so the
-        # parent dedups terminals structurally to keep cardinalities
-        # equal to the sequential engine's.  (Under reduction, workers
-        # explore *canonical* representatives — the canonicalization walk
-        # is deterministic, so every worker picks the same one and the
-        # digests still line up with the sequential engine's.)
-        self._terminal_digests = set()
+    #: Result counters summed over partial results.
+    counters = ("dedup_hits", "dedup_lookups", "elapsed")
+
+    def __init__(self, searcher, roots, max_nodes: int):
+        self.searcher = searcher
+        self._roots = roots
+        self.max_nodes = max_nodes
         # Structural digests of every expanded node, across all tasks.
         # Per-task seen-sets cannot share interior states, so tasks
-        # re-expand nodes other tasks already did; counting those into
-        # ``nodes`` made exhaustive parallel runs report more nodes than
-        # the sequential engine for the same state space.  The parent
-        # attributes each expansion once (``nodes``) and counts repeats
-        # separately (``reexplored``).
+        # re-expand nodes other tasks already did; the parent attributes
+        # each expansion once (``nodes``), counts repeats separately
+        # (``reexplored``), and re-submits a spilled node until some
+        # task has expanded it.
         self.expanded_digests = set()
 
     def new_accumulator(self):
-        from ..semantics.scheduler import ExplorationResult
-
-        acc = ExplorationResult(engine="parallel")
-        acc.reduce = self.explorer.policy.effective
-        acc.reduce_reasons = self.explorer.policy.reasons
-        acc.semantics = self.explorer.semantics
-        acc.semantics_reasons = self.explorer.semantics_reasons
-        acc.histories.add(())
-        acc.observables.add(())
-        return acc
+        return self.searcher.new_result(engine="parallel")
 
     def roots(self):
-        return self.explorer.start_nodes()
+        return self._roots
 
     def run_task(self, nodes, budget):
-        from ..semantics.scheduler import ExplorationResult
-
-        from .canonical import canonical_digest
-
-        partial = ExplorationResult()
-        partial.expanded_keys = []
-        spill = self.explorer.run_from(list(nodes), budget, partial)
+        partial = self.searcher.new_result(expanded_keys=[])
+        spill = self.searcher.run_from(list(nodes), budget, partial)
         # Digest in the worker (structural, so the keys survive pickling
         # and agree across workers); ship digests, not configurations.
-        partial.expanded_keys = [canonical_digest(k)
+        partial.expanded_keys = [canonical.canonical_digest(k)
                                  for k in partial.expanded_keys]
         return partial, spill
 
     def merge(self, acc, partial) -> None:
-        from .canonical import canonical_digest
-
-        acc.histories |= partial.histories
-        acc.observables |= partial.observables
-        acc.aborted = acc.aborted or partial.aborted
+        expanded = self.expanded_digests
+        for digest in partial.expanded_keys:
+            if digest in expanded:
+                acc.reexplored += 1
+            else:
+                expanded.add(digest)
+                acc.nodes += 1
         acc.bounded = acc.bounded or partial.bounded
-        if partial.expanded_keys is None:
-            acc.nodes += partial.nodes
-        else:
-            expanded = self.expanded_digests
-            for digest in partial.expanded_keys:
-                if digest in expanded:
-                    acc.reexplored += 1
-                else:
-                    expanded.add(digest)
-                    acc.nodes += 1
-        acc.por_pruned += partial.por_pruned
-        acc.sym_merged += partial.sym_merged
-        acc.sleep_skipped += partial.sleep_skipped
-        acc.tsym_merged += partial.tsym_merged
-        acc.reexplored += partial.reexplored
-        acc.dedup_hits += partial.dedup_hits
-        acc.dedup_lookups += partial.dedup_lookups
-        acc.elapsed += partial.elapsed
-        fresh = [d for d in partial.diagnostics
-                 if d not in acc.diagnostics]
-        if fresh:
-            acc.diagnostics = acc.diagnostics + tuple(fresh)
-        for config in partial.terminal_configs:
-            digest = canonical_digest(config)
-            if digest not in self._terminal_digests:
-                self._terminal_digests.add(digest)
-                acc.terminal_configs.add(config)
+        for name in self.counters:
+            setattr(acc, name, getattr(acc, name) + getattr(partial, name))
+        note_diagnostics(acc, partial.diagnostics)
+        self.merge_verdict(acc, partial)
+
+    def merge_verdict(self, acc, partial) -> None:
+        raise NotImplementedError
 
     def dedup_key(self, node) -> bytes:
-        from .canonical import canonical_digest
-
-        config, hist, obs, _depth = node
-        return canonical_digest((config, hist, obs))
+        return canonical.canonical_digest(node[3])
 
     def should_stop(self, acc) -> bool:
         return False
@@ -301,170 +263,98 @@ class ExploreProblem:
         acc.bounded = True
 
     def finalize(self, acc) -> None:
+        pass
+
+
+#: The reduction counters an :class:`~repro.semantics.scheduler.Explorer`
+#: search adds to its results.
+_REDUCTION_COUNTERS = ("por_pruned", "sym_merged", "sleep_skipped",
+                       "tsym_merged")
+
+
+class ExploreProblem(SearchProblem):
+    """Plain interleaving exploration (:class:`repro.semantics.scheduler.Explorer`)."""
+
+    counters = SearchProblem.counters + _REDUCTION_COUNTERS
+
+    def __init__(self, program, limits, reduce=None, semantics=None):
+        from ..semantics.scheduler import Explorer
+
+        self.explorer = Explorer(program, limits, reduce=reduce,
+                                 semantics=semantics)
+        super().__init__(self.explorer, self.explorer.start_nodes(),
+                         self.explorer.limits.max_nodes)
+        # Canonical-digest view of terminal configs: Config equality is
+        # statement-identity-based and does not survive pickling, so the
+        # parent dedups terminals structurally to keep cardinalities
+        # equal to the sequential engine's.  (Under reduction, workers
+        # explore *canonical* representatives — the canonicalization walk
+        # is deterministic, so every worker picks the same one and the
+        # digests still line up with the sequential engine's.)
+        self._terminal_digests = set()
+
+    def merge_verdict(self, acc, partial) -> None:
+        acc.histories |= partial.histories
+        acc.observables |= partial.observables
+        acc.aborted = acc.aborted or partial.aborted
+        for config in partial.terminal_configs:
+            digest = canonical.canonical_digest(config)
+            if digest not in self._terminal_digests:
+                self._terminal_digests.add(digest)
+                acc.terminal_configs.add(config)
+
+    def finalize(self, acc) -> None:
         # Close the collected trace sets under Sym(n) when exploring in
         # canonical thread-identity space (mirrors ``Explorer.run``).
         self.explorer.close_result(acc)
 
 
-class ProductLinProblem:
+class ProductLinProblem(SearchProblem):
     """The Definition-2 product engine (configurations × monitor)."""
 
+    counters = SearchProblem.counters + _REDUCTION_COUNTERS
+
     def __init__(self, program, spec, limits, theta=None, reduce=None,
-                 ownership="field", semantics=None):
-        from ..history.monitor import SpecMonitor
-        from ..semantics.scheduler import Explorer, Limits
+                 semantics=None):
+        from ..history.object_lin import ProductSearch
 
-        self.limits = limits or Limits()
-        self.monitor = SpecMonitor(spec)
-        self.explorer = Explorer(program, reduce=reduce,
-                                 ownership=ownership, semantics=semantics)
-        self.states0 = self.monitor.initial(theta)
-        self.max_nodes = self.limits.max_nodes
-        self._distinct_histories = {()}
-        # Cross-task expansion dedup; see ExploreProblem.
-        self.expanded_digests = set()
+        product = ProductSearch(program, spec, limits, theta,
+                                reduce=reduce, semantics=semantics)
+        super().__init__(product, product.start_nodes(),
+                         product.limits.max_nodes)
 
-    def new_accumulator(self):
-        from ..history.object_lin import ObjectLinResult
-
-        acc = ObjectLinResult(ok=True, engine="parallel")
-        acc.reduce = self.explorer.policy.effective
-        acc.reduce_reasons = self.explorer.policy.reasons
-        acc.semantics = self.explorer.semantics
-        acc.semantics_reasons = self.explorer.semantics_reasons
-        return acc
-
-    def roots(self):
-        from ..history.object_lin import product_start_nodes
-
-        return product_start_nodes(self.explorer, self.states0)
-
-    def run_task(self, nodes, budget):
-        from ..history.object_lin import ObjectLinResult, product_run_from
-
-        from .canonical import canonical_digest
-
-        partial = ObjectLinResult(ok=True)
-        partial.expanded_keys = []
-        distinct = set()
-        spill = product_run_from(self.explorer, self.monitor, self.limits,
-                                 list(nodes), budget, partial, distinct)
-        partial.expanded_keys = [canonical_digest(k)
-                                 for k in partial.expanded_keys]
-        return (partial, distinct), spill
-
-    def merge(self, acc, partial_and_histories) -> None:
-        partial, distinct = partial_and_histories
-        self._distinct_histories |= distinct
-        if partial.expanded_keys is None:
-            acc.nodes_explored += partial.nodes_explored
-        else:
-            expanded = self.expanded_digests
-            for digest in partial.expanded_keys:
-                if digest in expanded:
-                    acc.reexplored += 1
-                else:
-                    expanded.add(digest)
-                    acc.nodes_explored += 1
-        acc.bounded = acc.bounded or partial.bounded
+    def merge_verdict(self, acc, partial) -> None:
+        acc.histories |= partial.histories
+        acc.histories_checked = len(acc.histories)
         acc.aborted = acc.aborted or partial.aborted
-        acc.por_pruned += partial.por_pruned
-        acc.sym_merged += partial.sym_merged
-        acc.sleep_skipped += partial.sleep_skipped
-        acc.tsym_merged += partial.tsym_merged
-        acc.reexplored += partial.reexplored
-        acc.dedup_hits += partial.dedup_hits
-        acc.dedup_lookups += partial.dedup_lookups
-        acc.elapsed += partial.elapsed
-        fresh = [d for d in partial.diagnostics
-                 if d not in acc.diagnostics]
-        if fresh:
-            acc.diagnostics = acc.diagnostics + tuple(fresh)
         if not partial.ok and acc.ok:
             acc.ok = False
             acc.counterexample = partial.counterexample
             acc.reason = partial.reason
-        acc.histories_checked = len(self._distinct_histories)
-
-    def dedup_key(self, node) -> bytes:
-        from .canonical import canonical_digest
-
-        config, states, _hist, _depth = node
-        return canonical_digest((config, states))
 
     def should_stop(self, acc) -> bool:
         return not acc.ok
 
-    def node_count(self, acc) -> int:
-        return acc.nodes_explored
 
-    def mark_bounded(self, acc) -> None:
-        acc.bounded = True
-
-
-class InstrumentedProblem:
+class InstrumentedProblem(SearchProblem):
     """The instrumented-obligation runner (Fig. 11 obligations)."""
 
     def __init__(self, runner, start):
-        self.runner = runner
-        self.start = start
-        self.max_nodes = runner.limits.max_nodes
-        # Structural digests of every expanded node, across all tasks:
-        # lets the parent re-submit a spilled node until some task has
-        # expanded it (see ExploreProblem), and attributes each expansion
-        # once in ``nodes``.
-        self.expanded_digests = set()
+        super().__init__(runner, [runner.root(start)],
+                         runner.limits.max_nodes)
 
-    def new_accumulator(self):
-        acc = self.runner.new_result(engine="parallel")
-        acc.histories.add(())
-        return acc
-
-    def roots(self):
-        return [(self.start, (), 0)]
-
-    def run_task(self, nodes, budget):
-        from ..instrument.runner import InstrumentedRunResult
-        from .canonical import canonical_digest
-
-        partial = InstrumentedRunResult(expanded_keys=[])
-        spill = self.runner.run_from(list(nodes), budget, partial)
-        partial.expanded_keys = [canonical_digest(k)
-                                 for k in partial.expanded_keys]
-        return partial, spill
-
-    def merge(self, acc, partial) -> None:
+    def merge_verdict(self, acc, partial) -> None:
         acc.failures.extend(partial.failures)
-        expanded = self.expanded_digests
-        for digest in partial.expanded_keys:
-            if digest not in expanded:
-                expanded.add(digest)
-                acc.nodes += 1
-        acc.bounded = acc.bounded or partial.bounded
         acc.histories |= partial.histories
         acc.ok = not acc.failures
 
-    def dedup_key(self, node) -> bytes:
-        from .canonical import canonical_digest
-
-        config, hist, _depth = node
-        return canonical_digest(self.runner.node_key(config, hist))
-
     def should_stop(self, acc) -> bool:
-        return len(acc.failures) >= self.runner.max_failures
-
-    def node_count(self, acc) -> int:
-        return acc.nodes
-
-    def mark_bounded(self, acc) -> None:
-        acc.bounded = True
+        return len(acc.failures) >= self.searcher.max_failures
 
 
 def run_parallel(problem, workers: int, spill_nodes: int):
     """Run ``problem`` under the driver; returns the merged accumulator."""
 
     acc = ParallelDriver(problem, workers, spill_nodes).run()
-    finalize = getattr(problem, "finalize", None)
-    if finalize is not None:
-        finalize(acc)
+    problem.finalize(acc)
     return acc

@@ -35,7 +35,6 @@ from ..semantics.scheduler import (
 def random_walk_explore(program: Program, limits: Optional[Limits] = None,
                         walks: int = 256, seed: int = 0,
                         reduce: Optional[str] = None,
-                        ownership: str = "field",
                         semantics: Optional[str] = None
                         ) -> ExplorationResult:
     """Sample ``walks`` executions; returns a partial exploration result.
@@ -46,22 +45,16 @@ def random_walk_explore(program: Program, limits: Optional[Limits] = None,
     """
 
     explorer = Explorer(program, limits, reduce=reduce,
-                        ownership=ownership, semantics=semantics)
+                        semantics=semantics)
     limits = explorer.limits
     rng = random.Random(seed)
-    result = ExplorationResult(engine="random-walk", exhaustive=False)
-    result.reduce = explorer.policy.effective
-    result.reduce_reasons = explorer.policy.reasons
-    result.semantics = explorer.semantics
-    result.semantics_reasons = explorer.semantics_reasons
-    result.histories.add(())
-    result.observables.add(())
+    result = explorer.new_result(engine="random-walk", exhaustive=False)
     starts = explorer.start_nodes()
     if not starts:
         return result
 
     for _ in range(walks):
-        config, hist, obs, depth = starts[rng.randrange(len(starts))]
+        config, (hist, obs), depth, _key = starts[rng.randrange(len(starts))]
         while True:
             result.nodes += 1
             successors = explorer._expand(config)
@@ -94,7 +87,7 @@ def random_walk_explore(program: Program, limits: Optional[Limits] = None,
 
 def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
                     walks: int = 256, seed: int = 0, theta=None,
-                    reduce: Optional[str] = None, ownership: str = "field",
+                    reduce: Optional[str] = None,
                     semantics: Optional[str] = None):
     """Sampled Definition-2 check: walk the product graph, monitor Δ.
 
@@ -102,25 +95,20 @@ def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
     found on the sampled paths (``exhaustive=False``).
     """
 
-    from ..history.monitor import SpecMonitor
-    from ..history.object_lin import ObjectLinResult
+    from ..history.object_lin import ProductSearch
 
-    explorer = Explorer(program, reduce=reduce, ownership=ownership,
-                        semantics=semantics)
-    limits = limits or Limits()
-    monitor = SpecMonitor(spec)
+    product = ProductSearch(program, spec, limits, theta, reduce=reduce,
+                            semantics=semantics)
+    explorer, monitor, limits = (product.explorer, product.monitor,
+                                 product.limits)
     rng = random.Random(seed)
-    out = ObjectLinResult(ok=True, engine="random-walk", exhaustive=False)
-    out.reduce = explorer.policy.effective
-    out.reduce_reasons = explorer.policy.reasons
-    out.semantics = explorer.semantics
-    out.semantics_reasons = explorer.semantics_reasons
-    distinct = {()}
+    out = product.new_result(engine="random-walk", exhaustive=False)
+    distinct = out.histories
     starts = explorer.initial_nodes()
     if not starts:
         out.histories_checked = len(distinct)
         return out
-    states0 = monitor.initial(theta)
+    states0 = product.states0
 
     for _ in range(walks):
         config = starts[rng.randrange(len(starts))]

@@ -48,6 +48,7 @@ from ..semantics.eval import EvalError, eval_bool_in, eval_in
 from ..semantics.events import InvokeEvent, ReturnEvent, Trace
 from ..semantics.mgc import CallMenu
 from ..semantics.scheduler import Limits
+from ..semantics.search import Node, search
 from ..semantics.thread import (
     Env,
     Fault,
@@ -59,7 +60,6 @@ from ..semantics.thread import (
 )
 from ..spec.gamma import OSpec
 from ..spec.refmap import RefMap
-from .commands import AUX_STMTS
 from .erase import check_erasure
 from .semantics import AuxStuck, InstrCtx, instrumented_handler
 from .state import (
@@ -68,7 +68,6 @@ from .state import (
     delta_remove_thread,
     dom_exact,
     end_of,
-    is_end,
     op_of,
     singleton_delta,
 )
@@ -186,6 +185,18 @@ class InstrumentedRunResult:
     #: Why a requested ``"compiled"`` degraded to ``"interp"`` (empty
     #: when nothing degraded).
     semantics_reasons: Tuple[str, ...] = ()
+    #: Search counters, as on the other deciders' results: ``reexplored``
+    #: counts nodes the parallel driver expanded more than once, the
+    #: dedup pair gives the seen-set hit rate, ``elapsed`` is search
+    #: wall-clock.
+    reexplored: int = 0
+    dedup_hits: int = 0
+    dedup_lookups: int = 0
+    elapsed: float = 0.0
+    #: Search diagnostics, as on the other deciders' results; non-empty
+    #: implies ``bounded`` (a bound hit inside a step is a ``bound``
+    #: failure here instead, so nothing fills this yet).
+    diagnostics: Tuple[str, ...] = ()
     #: Search-node keys expanded by ``run_from``, collected only when set
     #: to a list (the parallel engine's cross-task expansion dedup).
     expanded_keys: Optional[List] = None
@@ -261,11 +272,14 @@ class InstrumentedRunner:
         self._compiled_visible = compiled_expand_until_visible
 
     def new_result(self, **fields) -> InstrumentedRunResult:
-        """An empty result carrying this runner's semantics provenance."""
+        """An empty result carrying this runner's semantics provenance
+        (the empty history is always reached)."""
 
-        return InstrumentedRunResult(
+        result = InstrumentedRunResult(
             semantics=self.semantics,
             semantics_reasons=self.semantics_reasons, **fields)
+        result.histories.add(())
+        return result
 
     # -- obligations ---------------------------------------------------------
 
@@ -334,7 +348,6 @@ class InstrumentedRunner:
         start = IConfig(tuple((_IDLE, self.ops)
                               for _ in range(self.n_threads)),
                         sigma_o, delta0)
-        result.histories.add(())
         if not self._check_shared(result, None, (sigma_o, delta0), 0, ()):
             return None
         return start
@@ -345,70 +358,67 @@ class InstrumentedRunner:
 
         return (config, hist) if self.history_complete else config
 
+    def root(self, start: IConfig) -> Node:
+        """The search node of the start configuration (label: the
+        history so far)."""
+
+        return (start, (), 0, self.node_key(start, ()))
+
     def run(self) -> InstrumentedRunResult:
         from ..engine.api import resolve_engine
+        from ..engine.dispatch import dispatch_instrumented
 
-        engine_spec = resolve_engine(self.engine)
-        if not engine_spec.sequential or engine_spec.memo:
-            from ..engine.dispatch import dispatch_instrumented
+        return dispatch_instrumented(self, resolve_engine(self.engine))
 
-            return dispatch_instrumented(self, engine_spec)
+    def run_sequential(self) -> InstrumentedRunResult:
+        """The exact sequential search (the sequential engine)."""
 
         result = self.new_result()
         start = self.initial_config(result)
         if start is None:
             result.ok = False
             return result
-        spilled = self.run_from([(start, (), 0)], self.limits.max_nodes,
-                                result)
-        if spilled:
+        if self.run_from([self.root(start)], self.limits.max_nodes, result):
             result.bounded = True
         result.ok = not result.failures
         return result
 
-    def run_from(self, frontier: List[Tuple[IConfig, Trace, int]],
-                 node_budget: int, result: InstrumentedRunResult
-                 ) -> List[Tuple[IConfig, Trace, int]]:
+    def run_from(self, frontier: Sequence[Node], node_budget: int,
+                 result: InstrumentedRunResult) -> List[Node]:
         """Expand up to ``node_budget`` nodes from ``frontier``.
 
         Mutates ``result`` in place; returns the spilled frontier when
         the budget runs out, ``[]`` when the subtree is exhausted or
         ``max_failures`` failures were collected.  The parallel engine
-        distributes these calls across worker processes.
+        distributes these calls across worker processes; the search is
+        :func:`~repro.semantics.search.search`.
         """
 
         key = self.node_key
-        seen = {key(c, h) for c, h, _ in frontier}
-        stack: List[Tuple[IConfig, Trace, int]] = list(frontier)
-        # Exact accounting: charge a node only when actually expanded, so
-        # a spilled node is not double-counted when a later call resumes
-        # from it.
-        expanded_here = 0
-        while stack:
-            if expanded_here >= node_budget:
-                return stack
-            config, hist, depth = stack.pop()
-            expanded_here += 1
-            result.nodes += 1
-            if result.expanded_keys is not None:
-                result.expanded_keys.append(key(config, hist))
-            if depth >= self.limits.max_depth:
-                result.bounded = True
-                continue
-            for nxt, event in self._expand(config, hist, result):
-                new_hist = hist + (event,) if event is not None else hist
-                if event is not None:
-                    result.histories.add(new_hist)
-                if nxt is None:
-                    continue
-                k = key(nxt, new_hist)
-                if k in seen:
-                    continue
-                seen.add(k)
-                stack.append((nxt, new_hist, depth + 1))
-            if len(result.failures) >= self.max_failures:
-                return []
-        return []
+        failures = result.failures
+        recorded = 0
+
+        def expand(config, hist):
+            nonlocal recorded
+            recorded = len(failures)
+            return self._expand(config, hist, result)
+
+        def cut():
+            # The dropped transitions lie beyond the depth cap, and so
+            # do any failures their obligations recorded.
+            del failures[recorded:]
+
+        def advance(nxt, hist, event):
+            if event is not None:
+                hist = hist + (event,)
+                result.histories.add(hist)
+            if nxt is None:
+                return None
+            return hist, key(nxt, hist)
+
+        return search(frontier, node_budget, result, advance,
+                      self.limits.max_depth, expand=expand, cut=cut,
+                      done=lambda: len(failures) >= self.max_failures)
 
     def _expand(self, config: IConfig, hist: Trace,
                 result: InstrumentedRunResult):

@@ -201,7 +201,7 @@ def scan_program(program, field_sensitive: bool = True) -> Eligibility:
     as exact shared roots.  Freed blocks are then handled by the
     allocator quarantine, so ``Dispose`` no longer disqualifies
     symmetry.  ``field_sensitive=False`` is the pre-refinement verdict,
-    kept for the coarse-ownership ablation.
+    kept as the reference the escape analysis is tested against.
     """
 
     try:

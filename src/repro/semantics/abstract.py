@@ -27,6 +27,7 @@ from .events import (
     Trace,
 )
 from .scheduler import Limits
+from .search import search
 from .thread import (
     ThreadState,
     expand_until_visible,
@@ -56,6 +57,12 @@ class AbsExplorationResult:
     #: Human-readable exploration diagnostics (e.g. an atomic-loop fuel
     #: exhaustion cutting a transition); non-empty implies ``bounded``.
     diagnostics: Tuple[str, ...] = ()
+    #: What the search core writes on every result (see
+    #: :func:`~repro.semantics.search.search`).
+    dedup_hits: int = 0
+    dedup_lookups: int = 0
+    elapsed: float = 0.0
+    expanded_keys: Optional[List] = None
 
     def add_prefixes(self, trace: Trace) -> None:
         for i in range(len(trace) + 1):
@@ -87,52 +94,39 @@ class AbstractExplorer:
         self._diag_seen: Set[str] = set()
 
     def run(self) -> AbsExplorationResult:
+        """The exact bounded search (:func:`~repro.semantics.search.search`
+        over nodes labelled (history, observable trace))."""
+
         result = AbsExplorationResult()
-        limits = self.limits
-        seen: Set[Tuple[AbsConfig, Trace, Trace]] = set()
-        stack: List[Tuple[AbsConfig, Trace, Trace, int]] = []
-        for start in self.initial_nodes():
-            if (start, (), ()) not in seen:
-                seen.add((start, (), ()))
-                stack.append((start, (), (), 0))
         result.histories.add(())
         result.observables.add(())
+        label = ((), ())
+        frontier = []
+        for key in dict.fromkeys((start, label)
+                                 for start in self.initial_nodes()):
+            frontier.append((key[0], label, 0, key))
 
-        while stack:
-            config, hist, obs, depth = stack.pop()
-            result.nodes += 1
-            if result.nodes > limits.max_nodes:
-                result.bounded = True
-                break
-            successors = self._expand(config)
-            if not successors:
-                result.add_prefixes(obs)
-                continue
-            if depth >= limits.max_depth:
-                result.bounded = True
-                result.add_prefixes(obs)
-                continue
-            for next_config, events in successors:
-                new_hist = hist
-                new_obs = obs
+        def advance(next_config, label, events):
+            if events:
+                hist, obs = label
                 for event in events:
                     if event.is_object_event:
-                        new_hist = new_hist + (event,)
-                        result.histories.add(new_hist)
+                        hist = hist + (event,)
+                        result.histories.add(hist)
                     if event.is_observable:
-                        new_obs = new_obs + (event,)
-                        result.add_prefixes(new_obs)
-                if next_config is None:
-                    result.aborted = True
-                    continue
-                key = (next_config, new_hist, new_obs)
-                if key in seen:
-                    continue
-                seen.add(key)
-                stack.append((next_config, new_hist, new_obs, depth + 1))
-        if self.diagnostics:
+                        obs = obs + (event,)
+                        result.add_prefixes(obs)
+                label = (hist, obs)
+            if next_config is None:
+                result.aborted = True
+                return None
+            return label, (next_config, label)
+
+        if search(frontier, self.limits.max_nodes, result, advance,
+                  self.limits.max_depth,
+                  expand=lambda config, _label: self._expand(config),
+                  diagnostics=self.diagnostics):
             result.bounded = True
-            result.diagnostics = tuple(self.diagnostics)
         return result
 
     def initial_nodes(self) -> List[AbsConfig]:

@@ -13,13 +13,13 @@ configurable :class:`Limits`, collecting
 
 Search nodes are deduplicated on (configuration, history, observable
 trace): the future behaviour of a node depends only on its configuration,
-so expanding each such node once is complete.
+so expanding each such node once is complete.  The search itself is
+:func:`repro.semantics.search.search`, shared with every other decider.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import AtomicLoopDivergence, BoundExceeded, CompileUnsupported
@@ -43,7 +43,8 @@ from ..reduce.symmetry import (
     sparse_subset,
     step_keeps_canonical,
 )
-from .events import Event, Trace, history_of, observable_of
+from .events import Event, Trace
+from .search import NO_SLEEP, Node, search
 from .thread import (
     ThreadState,
     expand_until_visible,
@@ -91,26 +92,24 @@ class Config:
 
 @dataclass(frozen=True)
 class Limits:
-    """Exploration bounds.
+    """Exploration bounds, with one meaning in every decider.
 
-    ``max_depth`` caps the number of transitions along any path;
-    ``max_nodes`` caps the total number of expanded search nodes.
+    ``max_depth`` caps the number of transitions along any path: a node
+    reached by ``max_depth`` transitions is still expanded, but only to
+    tell a terminal node (no successors: not bounded) from a cut one
+    (successors dropped: ``bounded``).  ``max_nodes`` caps the number of
+    expanded search nodes: a run that expands exactly ``max_nodes`` and
+    still has nodes left reports ``nodes == max_nodes`` and ``bounded``.
     """
 
     max_depth: int = 400
     max_nodes: int = 200_000
 
 
-#: A search node: (configuration, history so far, observable trace so
-#: far, depth).  The dedup key is the first three components.  Under
-#: sleep-set POR the internal stack carries a fifth component — the
-#: node's sleep set (a frozenset of thread ids) — which is stripped
-#: again from any spilled frontier, so the external shape stays a
-#: 4-tuple (waking a resumed node entirely is always sound).
-ExploreNode = Tuple[Config, "Trace", "Trace", int]
-
-#: The empty sleep set (shared: most nodes sleep nobody).
-_NO_SLEEP: FrozenSet[int] = frozenset()
+#: A search node (see :mod:`repro.semantics.search`) whose label is
+#: (history so far, observable trace so far); the dedup key is
+#: ``(config, label)``.
+ExploreNode = Node
 
 #: Entries held by the per-explorer ownership-map cache before it is
 #: cleared wholesale (a simple bound beats an LRU here: keys repeat in
@@ -174,7 +173,7 @@ class ExplorationResult:
     dedup_lookups: int = 0
     elapsed: float = 0.0
     #: When a caller binds a list here before ``run_from``, every
-    #: expansion appends its dedup key ``(config, hist, obs)``; the
+    #: expansion appends its dedup key ``(config, (hist, obs))``; the
     #: parallel driver digests these (structurally, so the count survives
     #: pickling) for cross-task expansion dedup.  ``None`` disables the
     #: collection (the default; sequential runs don't need it).
@@ -215,7 +214,7 @@ class Explorer:
     """
 
     def __init__(self, program: Program, limits: Optional[Limits] = None,
-                 reduce: Optional[str] = None, ownership: str = "field",
+                 reduce: Optional[str] = None,
                  semantics: Optional[str] = None):
         # Imported lazily: repro.compile builds on repro.semantics.
         from ..compile import (
@@ -231,7 +230,7 @@ class Explorer:
         self.impl: ObjectImpl = program.object_impl
         self.limits = limits or Limits()
         self.private_client_vars = program.private_client_vars
-        self.policy = resolve_policy(program, reduce, ownership=ownership)
+        self.policy = resolve_policy(program, reduce)
         self.interner: Optional[Interner] = (
             Interner() if self.policy.intern else None)
         # Reduction counters, accumulated across run_from calls; the
@@ -240,20 +239,6 @@ class Explorer:
         self.sym_merged = 0
         self.sleep_skipped = 0
         self.tsym_merged = 0
-        #: Rollback bookkeeping for the cycle proviso: how much the most
-        #: recent ``_expand`` added to ``por_pruned`` / ``sleep_skipped``.
-        #: Both are reset at the top of every ``_expand`` — a re-expansion
-        #: must never roll back a *previous* node's accounting.
-        self._last_pruned = 0
-        self._last_slept = 0
-        #: Sleep sets of the successors the most recent ``_expand``
-        #: returned (aligned with its result list), or ``None`` when the
-        #: sleep-set layer was off for that call.
-        self._succ_sleeps: Optional[List[FrozenSet[int]]] = None
-        #: True when the most recent ``_expand`` applied partial-order
-        #: reduction (so a caller whose successors all dedup away must
-        #: re-expand fully — the cycle proviso, see ``run_from``).
-        self.last_expand_reduced = False
         #: Exploration diagnostics (deduplicated, e.g. atomic-loop fuel
         #: cuts); transferred into each result by ``run_from``.
         self.diagnostics: List[str] = []
@@ -455,7 +440,8 @@ class Explorer:
         """
 
         nodes: List[ExploreNode] = []
-        seen: Set[Tuple[Config, Trace, Trace]] = set()
+        seen: Set[tuple] = set()
+        label = ((), ())
         for start in self.initial_nodes():
             if self.policy.sym:
                 start, changed = canonicalize_config(start, Store)
@@ -463,22 +449,28 @@ class Explorer:
                     self.sym_merged += 1
             if self.interner is not None:
                 start = self.interner.config(start)
-            if (start, (), ()) not in seen:
-                seen.add((start, (), ()))
-                nodes.append((start, (), (), 0))
+            key = (start, label)
+            if key not in seen:
+                seen.add(key)
+                nodes.append((start, label, 0, key))
         return nodes
 
-    def run(self) -> ExplorationResult:
-        result = ExplorationResult()
-        result.reduce = self.policy.effective
-        result.reduce_reasons = self.policy.reasons
-        result.semantics = self.semantics
-        result.semantics_reasons = self.semantics_reasons
+    def new_result(self, **fields) -> ExplorationResult:
+        """An empty result carrying this explorer's reduction and
+        semantics provenance (the empty trace is always reached)."""
+
+        result = ExplorationResult(
+            reduce=self.policy.effective,
+            reduce_reasons=self.policy.reasons,
+            semantics=self.semantics,
+            semantics_reasons=self.semantics_reasons, **fields)
         result.histories.add(())
         result.observables.add(())
-        spilled = self.run_from(self.start_nodes(), self.limits.max_nodes,
-                                result)
-        if spilled:
+        return result
+
+    def run(self) -> ExplorationResult:
+        result = self.new_result()
+        if self.run_from(self.start_nodes(), self.limits.max_nodes, result):
             result.bounded = True
         self.close_result(result)
         return result
@@ -487,157 +479,35 @@ class Explorer:
                  result: ExplorationResult) -> List[ExploreNode]:
         """Expand up to ``node_budget`` nodes starting from ``frontier``.
 
-        Mutates ``result`` in place and returns the *spilled* frontier —
-        the nodes left unexpanded when the budget ran out (empty when the
-        subtree was exhausted).  This is the unit of work the parallel
-        engine distributes; the sequential :meth:`run` is a single call
-        with the full node budget.
-
-        Accounting is exact: a node is charged against the budget only
-        when it is actually expanded, so a spilled frontier node costs
-        nothing until some later call expands it (``result.nodes`` equals
-        the number of ``_expand`` calls across spill/resume cycles).
+        Mutates ``result`` in place and returns the *spilled* frontier
+        (see :func:`~repro.semantics.search.search`).  This is the unit
+        of work the parallel engine distributes; the sequential
+        :meth:`run` is a single call with the full node budget.
         """
 
-        limits = self.limits
-        sleep_on = self._sleep
-        tsym = self._tsym
-        # Node = (config, history, observable); depth tracked separately so
-        # revisits through shorter paths don't defeat deduplication.  Under
-        # sleep sets the map remembers the smallest sleep set each node was
-        # pushed with (Godefroid's variant): a revisit with a superset
-        # sleep is covered by the earlier visit, anything else re-explores
-        # with the intersection.
-        seen: Dict[Tuple[Config, Trace, Trace], FrozenSet[int]] = {}
-        for node in frontier:
-            seen[(node[0], node[1], node[2])] = (
-                node[4] if len(node) > 4 else _NO_SLEEP)
-        stack: List[tuple] = list(frontier)
-        expanded_here = 0
-        pruned0, merged0 = self.por_pruned, self.sym_merged
-        slept0, tmerged0 = self.sleep_skipped, self.tsym_merged
-        diag0 = len(self.diagnostics)
-        started = perf_counter()
+        def advance(next_config, label, event):
+            if event is not None:
+                hist, obs = label
+                if event.is_object_event:
+                    hist = hist + (event,)
+                    result.histories.add(hist)
+                if event.is_observable:
+                    obs = obs + (event,)
+                    result.add_prefixes(obs)
+                label = (hist, obs)
+            if next_config is None:
+                # Aborted execution: trace ends here.
+                result.aborted = True
+                return None
+            return label, (next_config, label)
 
-        try:
-            while stack:
-                if expanded_here >= node_budget:
-                    return [n[:4] if len(n) > 4 else n for n in stack]
-                node = stack.pop()
-                config, hist, obs, depth = node[0], node[1], node[2], node[3]
-                sleep = node[4] if len(node) > 4 else _NO_SLEEP
-                expanded_here += 1
-                result.nodes += 1
-                if result.expanded_keys is not None:
-                    result.expanded_keys.append((config, hist, obs))
-                tsym_k = None
-                if tsym is not None:
-                    pinned = ({e.thread for e in hist}
-                              | {e.thread for e in obs})
-                    k = len(pinned)
-                    # Rotate only while the canonical-pinning invariant
-                    # (event-emitting threads are exactly 1..k) holds — a
-                    # permutation bail on an ancestor may have broken it,
-                    # and rotating then would rename a pinned identity.
-                    if not pinned or max(pinned) == k:
-                        tsym_k = k
-                sym_snap, tsym_snap = self.sym_merged, self.tsym_merged
-                successors = self._expand(config, sleep=sleep,
-                                          tsym_k=tsym_k)
-                succ_sleeps = self._succ_sleeps
-                reduced = self.last_expand_reduced
-                if not successors and self._last_slept:
-                    # Every runnable thread was asleep.  Their futures are
-                    # covered by earlier siblings, but recording the node
-                    # as terminal would be wrong (it is not quiescent) —
-                    # re-expand ignoring sleep, rolling the skips back.
-                    self.sleep_skipped -= self._last_slept
-                    self.sym_merged = sym_snap
-                    self.tsym_merged = tsym_snap
-                    successors = self._expand(config, tsym_k=tsym_k)
-                    succ_sleeps = self._succ_sleeps
-                    reduced = self.last_expand_reduced
-                if not successors:
-                    # Quiescent or deadlocked: record the terminal trace.
-                    result.add_prefixes(obs)
-                    result.terminal_configs.add(config)
-                    continue
-                if depth >= limits.max_depth:
-                    result.bounded = True
-                    result.add_prefixes(obs)
-                    continue
-                while True:
-                    fresh = 0
-                    for sidx, (next_config, event) in enumerate(successors):
-                        new_hist = hist
-                        new_obs = obs
-                        if event is not None:
-                            if event.is_object_event:
-                                new_hist = hist + (event,)
-                                result.histories.add(new_hist)
-                            if event.is_observable:
-                                new_obs = obs + (event,)
-                                result.add_prefixes(new_obs)
-                        if next_config is None:
-                            # Aborted execution: trace ends here.
-                            result.aborted = True
-                            continue
-                        key = (next_config, new_hist, new_obs)
-                        ns = (succ_sleeps[sidx]
-                              if succ_sleeps is not None else _NO_SLEEP)
-                        result.dedup_lookups += 1
-                        stored = seen.get(key)
-                        if stored is not None:
-                            if stored <= ns:
-                                result.dedup_hits += 1
-                                continue
-                            # Seen before, but with threads asleep that
-                            # are awake now: re-explore with the
-                            # intersection so no future is lost.
-                            ns = stored & ns
-                        seen[key] = ns
-                        stack.append(
-                            (next_config, new_hist, new_obs, depth + 1, ns)
-                            if sleep_on else
-                            (next_config, new_hist, new_obs, depth + 1))
-                        fresh += 1
-                    if fresh == 0 and (reduced or self._last_slept):
-                        # Cycle proviso: the prioritized (or non-slept)
-                        # threads' successors all dedup into already-seen
-                        # nodes, so following only them could starve the
-                        # other threads' futures (a cycle of invisible
-                        # private steps).  Re-expand the node without any
-                        # reduction, rolling back this node's accounting
-                        # first so the re-expansion is charged exactly
-                        # once; the pruned successors stay deduplicated.
-                        self.por_pruned -= self._last_pruned
-                        self.sleep_skipped -= self._last_slept
-                        self.sym_merged = sym_snap
-                        self.tsym_merged = tsym_snap
-                        successors = self._expand(config, full=True,
-                                                  tsym_k=tsym_k)
-                        succ_sleeps = self._succ_sleeps
-                        reduced = False
-                        continue
-                    break
-            return []
-        finally:
-            result.elapsed += perf_counter() - started
-            result.por_pruned += self.por_pruned - pruned0
-            result.sym_merged += self.sym_merged - merged0
-            result.sleep_skipped += self.sleep_skipped - slept0
-            result.tsym_merged += self.tsym_merged - tmerged0
-            if len(self.diagnostics) > diag0:
-                # A transition was cut (e.g. atomic-loop fuel): the
-                # exploration is bounded, and the cut is surfaced.
-                result.bounded = True
-                fresh = [d for d in self.diagnostics[diag0:]
-                         if d not in result.diagnostics]
-                if fresh:
-                    result.diagnostics = result.diagnostics + tuple(fresh)
+        return search(frontier, node_budget, result, advance,
+                      self.limits.max_depth, explorer=self,
+                      pinned=_label_threads,
+                      terminal=result.terminal_configs.add)
 
     def _expand(self, config: Config, full: bool = False,
-                sleep: FrozenSet[int] = _NO_SLEEP,
+                sleep: FrozenSet[int] = NO_SLEEP,
                 tsym_k: Optional[int] = None
                 ) -> List[Tuple[Optional[Config], Optional[Event]]]:
         """All successor (configuration, event) pairs of ``config``.
@@ -670,6 +540,11 @@ class Explorer:
         policy = self.policy
         por = policy.por and not full
         sleep_on = self._sleep and not full
+        # What the search reads back after this call: whether POR pruned
+        # (the cycle proviso then applies), how much this call added to
+        # ``por_pruned`` / ``sleep_skipped`` (so a re-expansion rolls back
+        # exactly this node's accounting), and the successors' sleep sets
+        # (aligned with the returned list; ``None`` with sleep sets off).
         self.last_expand_reduced = False
         self._last_pruned = 0
         self._last_slept = 0
@@ -750,7 +625,7 @@ class Explorer:
         for idx, outcomes in per_thread:
             tid = idx + 1
             tmpl = None
-            new_sleep = _NO_SLEEP
+            new_sleep = NO_SLEEP
             if sleep_on:
                 tmpl = self._template_of(config, tid)
                 if tmpl is not None and awake:
@@ -780,7 +655,7 @@ class Explorer:
                         event = replace(event, thread=tsym_k + 1)
                     out.append((None, event))
                     if succ_sleeps is not None:
-                        succ_sleeps.append(_NO_SLEEP)
+                        succ_sleeps.append(NO_SLEEP)
                     continue
                 if sym:
                     check_event_escape(outcome.event)
@@ -880,13 +755,13 @@ def explore(program: Program, limits: Optional[Limits] = None,
 
     # Imported lazily: repro.engine builds on this module.
     from ..engine.api import resolve_engine
-
-    spec = resolve_engine(engine)
-    if spec.sequential and not spec.memo:
-        return Explorer(program, limits, reduce=spec.reduce,
-                        ownership=spec.ownership,
-                        semantics=spec.semantics).run()
-
     from ..engine.dispatch import dispatch_explore
 
-    return dispatch_explore(program, limits, spec)
+    return dispatch_explore(program, limits, resolve_engine(engine))
+
+
+def _label_threads(label) -> Set[int]:
+    """Threads an event of the node's history or trace has pinned."""
+
+    hist, obs = label
+    return {e.thread for e in hist} | {e.thread for e in obs}

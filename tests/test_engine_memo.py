@@ -216,15 +216,15 @@ def test_engine_spelling_order_insensitive_round_trip():
         "sequential+por",
         "sequential+por+sym",
         "sequential+por+sym+tsym",
-        "parallel+por+sym+tsym+coarse+compiled",
+        "parallel+por+sym+tsym+compiled",
         "random-walk+noreduce+interp",
     ]:
         spec = resolve_engine(text)
         again = resolve_engine(spec.spelling())
         assert again == spec, text
 
-    scrambled = resolve_engine("parallel+compiled+tsym+coarse+sym+memo+por")
-    canonical = resolve_engine("parallel+memo+por+sym+tsym+coarse+compiled")
+    scrambled = resolve_engine("parallel+compiled+tsym+sym+memo+por")
+    canonical = resolve_engine("parallel+memo+por+sym+tsym+compiled")
     assert scrambled == canonical
 
 
@@ -239,6 +239,7 @@ def test_engine_spelling_order_insensitive_round_trip():
     "bogus+por",
     "sequential+",
     "sequential+POR",           # spellings are case-sensitive
+    "sequential+coarse",        # the retired ownership ablation
 ])
 def test_engine_spelling_rejects_malformed(bad):
     with pytest.raises(Exception):

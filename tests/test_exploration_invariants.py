@@ -11,7 +11,10 @@ Three properties every engine relies on:
   canonical start node;
 * ``run_from`` budget accounting is exact: a spilled node is charged
   only when later expanded, so a budget-1 resume loop performs exactly
-  one expansion per call and converges to the same sets.
+  one expansion per call and converges to the same sets;
+* ``Limits`` means the same in every decider: the node budget and the
+  depth rule are the one search core's
+  (:mod:`repro.semantics.search`).
 """
 
 import pytest
@@ -19,14 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import get_algorithm
+from repro.history.object_lin import check_program_linearizable
+from repro.instrument.runner import verify_instrumented
 from repro.memory.store import Store
 from repro.reduce import SYM_BASE, SYM_STRIDE
+from repro.semantics.abstract import AbstractProgram, explore_abstract
 from repro.semantics.mgc import mgc_program
 from repro.semantics.scheduler import (
     Config,
     ExplorationResult,
     Explorer,
     Limits,
+    explore,
 )
 
 
@@ -146,3 +153,73 @@ def test_budget_zero_spills_everything():
     spilled = explorer.run_from(frontier, 0, result)
     assert spilled == frontier
     assert result.nodes == 0
+
+
+# ---------------------------------------------------------------------------
+# One budget and one depth rule across the deciders
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def deciders():
+    """``limits -> (nodes, bounded)`` for each decider on Treiber 2x1."""
+
+    alg = get_algorithm("treiber")
+    menu = alg.workload.menu
+    program = mgc_program(alg.impl, menu, threads=2, ops_per_thread=1)
+    abstract = AbstractProgram(alg.spec, program.clients,
+                               program.initial_client_memory,
+                               program.private_client_vars)
+
+    def product(limits):
+        r = check_program_linearizable(program, alg.spec, limits)
+        return r.nodes_explored, r.bounded
+
+    def witness(limits):
+        r = verify_instrumented(alg.instrumented, menu, 2, 1, limits,
+                                alg.invariant, alg.guarantee)
+        return r.nodes, r.bounded
+
+    def plain(run, target):
+        def decide(limits):
+            r = run(target, limits)
+            return r.nodes, r.bounded
+        return decide
+
+    return {
+        "explore": plain(explore, program),
+        "product": product,
+        "witness": witness,
+        "abstract": plain(explore_abstract, abstract),
+    }
+
+
+@pytest.mark.parametrize("decider",
+                         ["abstract", "explore", "product", "witness"])
+def test_node_budget_is_exact_in_every_decider(deciders, decider):
+    run = deciders[decider]
+    full, bounded = run(Limits())
+    assert not bounded and full > 5
+    assert run(Limits(max_nodes=5)) == (5, True)
+    assert run(Limits(max_nodes=full)) == (full, False)
+
+
+def _smallest_complete_depth(run) -> int:
+    depth = 0
+    while run(Limits(max_depth=depth))[1]:
+        depth += 1
+    return depth
+
+
+def test_deciders_share_one_depth_rule(deciders):
+    """``max_depth`` caps transitions along a path, and a node at the cap
+    is expanded only to tell a terminal node from a cut one — so the
+    smallest complete depth is the longest path, in every decider.  The
+    explorer, the product and the witness take the same interleavings
+    of the same method steps; the abstract program runs each call as one
+    atomic step, so its longest path is one step per call."""
+
+    depths = {name: _smallest_complete_depth(run)
+              for name, run in deciders.items()}
+    assert depths["explore"] == depths["product"] == depths["witness"]
+    assert depths["explore"] > depths["abstract"] == 2
