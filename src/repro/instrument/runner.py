@@ -48,7 +48,7 @@ from ..semantics.eval import EvalError, eval_bool_in, eval_in
 from ..semantics.events import InvokeEvent, ReturnEvent, Trace
 from ..semantics.mgc import CallMenu
 from ..semantics.scheduler import Limits
-from ..semantics.search import Node, search
+from ..semantics.search import BoundedCache, Node, search
 from ..semantics.thread import (
     Env,
     Fault,
@@ -89,6 +89,12 @@ Guarantee = Callable[[SharedView, SharedView, int], bool]
 _NORET = Noret()
 _EMPTY = Store()
 _IDLE = ThreadState((), None)
+#: The thread-local successor of a step that aborted without an event.
+_ABORTED = (None, None, None, None)
+
+#: Entries held by a runner's step memo (see
+#: :meth:`InstrumentedRunner._expand`).
+_STEP_MEMO_CAP = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -246,6 +252,9 @@ class InstrumentedRunner:
         #: Shared transitions ``(before, after, tid)`` whose obligations
         #: held, for the current run (see :meth:`_check_shared`).
         self._checked: Set[tuple] = set()
+        #: Thread-local successors whose obligations held, for the
+        #: current run (see :meth:`_expand`).
+        self._step_memo = BoundedCache(_STEP_MEMO_CAP)
 
         # Lowered once per object, like the Explorer's programs.  The
         # tables are closures: parallel workers inherit them through
@@ -332,9 +341,11 @@ class InstrumentedRunner:
         """The start configuration, or ``None`` when an initial-state
         obligation (``φ(σ_o) = θ``, ``I`` on the initial Δ) already fails
         — the failure is recorded in ``result``.  Every engine starts a
-        run here, so this also empties the set of checked transitions."""
+        run here, so this also empties the set of checked transitions
+        and the step memo."""
 
         self._checked = set()
+        self._step_memo = BoundedCache(_STEP_MEMO_CAP)
         spec = self.iobj.spec
         if self.iobj.phi is not None:
             theta = self.iobj.phi.of(Store(self.iobj.initial_memory))
@@ -422,24 +433,48 @@ class InstrumentedRunner:
 
     def _expand(self, config: IConfig, hist: Trace,
                 result: InstrumentedRunResult):
-        step = self._step if self.compiled is None else self._step_compiled
+        threads = config.threads
+        sigma_o, delta = config.sigma_o, config.delta
+        memo = self._step_memo
+        failures = result.failures
         out = []
-        for idx, (tstate, ops_left) in enumerate(config.threads):
-            tid = idx + 1
-            if tstate.finished:
-                if ops_left > 0:
-                    out.extend(self._invoke(config, idx, tid, ops_left,
-                                            hist, result))
+        for idx, (tstate, ops_left) in enumerate(threads):
+            finished = tstate.finished
+            if finished and ops_left <= 0:
                 continue
-            out.extend(step(config, idx, tid, ops_left, hist, result))
+            tid = idx + 1
+            # A thread's successors are a function of its own entry and
+            # the shared (σ_o, Δ) alone (steps and I/G are pure), so they
+            # are memoized on exactly that.  Only a step whose
+            # obligations all passed is stored — a hit stands for checks
+            # that already held, as in :meth:`_check_shared`; a failing
+            # step is re-run, so each failure keeps its own record.
+            key = (tid, tstate, ops_left, sigma_o, delta)
+            local = memo.get(key)
+            if local is None:
+                recorded = len(failures)
+                if finished:
+                    local = self._invoke(tid, ops_left, sigma_o, delta,
+                                         hist, result)
+                elif self.compiled is None:
+                    local = self._step(tid, tstate, ops_left, sigma_o,
+                                       delta, hist, result)
+                else:
+                    local = self._step_compiled(tid, tstate, ops_left,
+                                                sigma_o, delta, hist, result)
+                if len(failures) == recorded and all(
+                        entry is not None for entry, _, _, _ in local):
+                    memo.put(key, local)
+            for entry, sigma2, delta2, event in local:
+                out.append((None if entry is None else IConfig(
+                    threads[:idx] + (entry,) + threads[idx + 1:],
+                    sigma2, delta2), event))
         return out
 
-    def _replace(self, config: IConfig, idx: int, tstate: ThreadState,
-                 ops_left: int, sigma_o: Store, delta: Delta) -> IConfig:
-        threads = (config.threads[:idx]
-                   + ((tstate, ops_left),)
-                   + config.threads[idx + 1:])
-        return IConfig(threads, sigma_o, delta)
+    # The step rules below return thread-local successors ``(entry, σ_o',
+    # Δ', event)``, where ``entry`` is the thread's new ``(state,
+    # ops_left)``, or ``None`` when the step aborted (after recording
+    # its failure).
 
     def _visible(self, tstate: ThreadState, sigma_o: Store):
         """The thread states ``tstate`` reaches by invisible steps."""
@@ -448,8 +483,8 @@ class InstrumentedRunner:
             return self._compiled_visible(self.compiled, tstate, _EMPTY)
         return expand_until_visible(tstate, _EMPTY, sigma_o)
 
-    def _invoke(self, config: IConfig, idx: int, tid: int, ops_left: int,
-                hist: Trace, result: InstrumentedRunResult):
+    def _invoke(self, tid: int, ops_left: int, sigma_o: Store,
+                delta: Delta, hist: Trace, result: InstrumentedRunResult):
         out = []
         for method, arg in self.menu:
             mdef = self.iobj.methods[method]
@@ -461,34 +496,31 @@ class InstrumentedRunner:
                 control = self.compiled.method_entries[method]
             else:
                 control = push_control(mdef.body, (_NORET,))
-            delta = delta_add_thread(config.delta, tid, op_of(method, arg))
+            delta2 = delta_add_thread(delta, tid, op_of(method, arg))
             event = InvokeEvent(tid, method, arg)
-            new_hist = hist + (event,)
-            if not self._check_shared(result, (config.sigma_o, config.delta),
-                                      (config.sigma_o, delta), tid, new_hist):
-                out.append((None, event))
+            if not self._check_shared(result, (sigma_o, delta),
+                                      (sigma_o, delta2), tid,
+                                      hist + (event,)):
+                out.append((None, None, None, event))
                 continue
             for ts, _sc in self._visible(ThreadState(control, frame),
-                                         config.sigma_o):
-                out.append((self._replace(config, idx, ts, ops_left - 1,
-                                          config.sigma_o, delta), event))
+                                         sigma_o):
+                out.append(((ts, ops_left - 1), sigma_o, delta2, event))
         return out
 
-    def _step(self, config: IConfig, idx: int, tid: int, ops_left: int,
-              hist: Trace, result: InstrumentedRunResult):
+    def _step(self, tid: int, tstate: ThreadState, ops_left: int,
+              sigma_o: Store, delta: Delta, hist: Trace,
+              result: InstrumentedRunResult):
         """One transition of thread ``tid``, interpreted."""
 
-        tstate = config.threads[idx][0]
         stmt = tstate.control[0]
         rest = tstate.control[1:]
         frame = tstate.frame
-        sigma_o, delta = config.sigma_o, config.delta
-        out = []
 
         if isinstance(stmt, Seq):
-            return self._step_with(
-                config, idx, tid, ops_left,
-                ThreadState(push_control(stmt, rest), frame), hist, result)
+            return self._step(tid, ThreadState(push_control(stmt, rest),
+                                               frame),
+                              ops_left, sigma_o, delta, hist, result)
         if isinstance(stmt, Return):
             try:
                 value = eval_in(stmt.expr, frame.locals, sigma_o)
@@ -496,14 +528,16 @@ class InstrumentedRunner:
                 result.failures.append(FailureRecord(
                     "fault", f"return expression fault in {frame.method}: "
                              f"{exc}", hist))
-                return [(None, None)]
-            return self._return(config, idx, tid, ops_left, frame,
-                                ReturnEvent(tid, value), hist, result)
+                return [_ABORTED]
+            return self._return(tid, ops_left, frame,
+                                ReturnEvent(tid, value), sigma_o, delta,
+                                hist, result)
         if isinstance(stmt, Noret):
             result.failures.append(FailureRecord(
                 "noret", f"method {frame.method} of thread {tid} terminated "
                          "without return", hist))
-            return [(None, None)]
+            return [_ABORTED]
+        before = (sigma_o, delta)
         if isinstance(stmt, (If, While)):
             try:
                 taken = eval_bool_in(stmt.cond, frame.locals, sigma_o)
@@ -511,16 +545,16 @@ class InstrumentedRunner:
                 result.failures.append(FailureRecord(
                     "fault", f"condition fault in {frame.method}: {exc}",
                     hist))
-                return [(None, None)]
+                return [_ABORTED]
             if isinstance(stmt, If):
                 control = push_control(stmt.then if taken else stmt.els, rest)
             elif taken:
                 control = push_control(stmt.body, (stmt,) + rest)
             else:
                 control = rest
-            return self._finish_step(config, idx, tid, ops_left,
-                                     ThreadState(control, frame), sigma_o,
-                                     delta, hist, result)
+            return self._finish_step(tid, ThreadState(control, frame),
+                                     ops_left, before, sigma_o, delta, hist,
+                                     result)
 
         # Atomic blocks, primitives and auxiliary commands: one visible
         # transition through the sequential executor with the Fig. 11
@@ -533,76 +567,74 @@ class InstrumentedRunner:
         except AuxStuck as exc:
             result.failures.append(FailureRecord(
                 "aux-stuck", f"{frame.method} (thread {tid}): {exc}", hist))
-            return [(None, None)]
+            return [_ABORTED]
         except Fault as exc:
             result.failures.append(FailureRecord(
                 "fault", f"{frame.method} (thread {tid}) faults: {exc}",
                 hist))
-            return [(None, None)]
+            return [_ABORTED]
         except BoundExceeded as exc:
             result.failures.append(FailureRecord(
                 "bound", str(exc), hist))
-            return [(None, None)]
+            return [_ABORTED]
+        out = []
         for fin in finals:
             frame2 = Frame(fin.locals, frame.retvar, frame.caller_control,
                            frame.method)
             out.extend(self._finish_step(
-                config, idx, tid, ops_left, ThreadState(rest, frame2),
+                tid, ThreadState(rest, frame2), ops_left, before,
                 fin.sigma_o, fin.extra.delta, hist, result))
         return out
 
-    def _step_compiled(self, config: IConfig, idx: int, tid: int,
-                       ops_left: int, hist: Trace,
+    def _step_compiled(self, tid: int, tstate: ThreadState, ops_left: int,
+                       sigma_o: Store, delta: Delta, hist: Trace,
                        result: InstrumentedRunResult):
         """One transition of thread ``tid`` through the tables of
         :func:`compile_instrumented`: the step gets the auxiliary state
         ``(Δ, tid)`` in its σ_c slot and returns the updated pair in each
         outcome's σ_c."""
 
-        tstate = config.threads[idx][0]
         pc = tstate.control[0]
         frame = tstate.frame
         try:
             outcomes = self.compiled.steps[pc](
-                tid, frame, (config.delta, tid), config.sigma_o, False, None)
+                tid, frame, (delta, tid), sigma_o, False, None)
         except BoundExceeded:
-            return self._failed_step(config, idx, tid, ops_left, pc, frame,
-                                     hist, result)
+            return self._failed_step(tid, pc, frame, ops_left, sigma_o,
+                                     delta, hist, result)
+        before = (sigma_o, delta)
         out = []
         for oc in outcomes:
             if oc.thread_state is None:
-                return self._failed_step(config, idx, tid, ops_left, pc,
-                                         frame, hist, result)
+                return self._failed_step(tid, pc, frame, ops_left, sigma_o,
+                                         delta, hist, result)
             if oc.event is not None:  # the only event a method emits
-                return self._return(config, idx, tid, ops_left, frame,
-                                    oc.event, hist, result)
+                return self._return(tid, ops_left, frame, oc.event,
+                                    sigma_o, delta, hist, result)
             out.extend(self._finish_step(
-                config, idx, tid, ops_left, oc.thread_state, oc.sigma_o,
+                tid, oc.thread_state, ops_left, before, oc.sigma_o,
                 oc.sigma_c[0], hist, result))
         return out
 
-    def _failed_step(self, config: IConfig, idx: int, tid: int,
-                     ops_left: int, pc: int, frame: Frame, hist: Trace,
+    def _failed_step(self, tid: int, pc: int, frame: Frame, ops_left: int,
+                     sigma_o: Store, delta: Delta, hist: Trace,
                      result: InstrumentedRunResult):
         """A compiled step at ``pc`` aborted: the interpreter re-runs it
         from the same control, and its failure record is the one kept."""
 
-        tstate = ThreadState(self.compiled.controls[pc], frame)
-        config = self._replace(config, idx, tstate, ops_left,
-                               config.sigma_o, config.delta)
         recorded = len(result.failures)
-        out = self._step(config, idx, tid, ops_left, hist, result)
+        out = self._step(tid, ThreadState(self.compiled.controls[pc], frame),
+                         ops_left, sigma_o, delta, hist, result)
         assert len(result.failures) > recorded, (
             f"compiled step at pc {pc} aborted, the interpreter did not")
         return out
 
-    def _return(self, config: IConfig, idx: int, tid: int, ops_left: int,
-                frame: Frame, event: ReturnEvent, hist: Trace,
-                result: InstrumentedRunResult):
+    def _return(self, tid: int, ops_left: int, frame: Frame,
+                event: ReturnEvent, sigma_o: Store, delta: Delta,
+                hist: Trace, result: InstrumentedRunResult):
         """The ``return E`` rule: every speculation must have ended the
         thread's operation with ``[[E]]``; then its entry leaves Δ."""
 
-        sigma_o, delta = config.sigma_o, config.delta
         value = event.value
         new_hist = hist + (event,)
         bad = [pair for pair in delta if pair[0].get(tid) != end_of(value)]
@@ -611,29 +643,21 @@ class InstrumentedRunner:
                 "return", f"thread {tid} returns {value} from "
                 f"{frame.method} but {len(bad)} speculation(s) disagree "
                 f"(e.g. {bad[0][0].get(tid)!r})", new_hist))
-            return [(None, event)]
+            return [(None, None, None, event)]
         delta2 = delta_remove_thread(delta, tid)
         if not self._check_shared(result, (sigma_o, delta),
                                   (sigma_o, delta2), tid, new_hist):
-            return [(None, event)]
-        return [(self._replace(config, idx, _IDLE, ops_left, sigma_o,
-                               delta2), event)]
+            return [(None, None, None, event)]
+        return [((_IDLE, ops_left), sigma_o, delta2, event)]
 
-    def _finish_step(self, config: IConfig, idx: int, tid: int,
-                     ops_left: int, tstate: ThreadState, sigma_o: Store,
-                     delta: Delta, hist: Trace,
-                     result: InstrumentedRunResult):
-        if not self._check_shared(result, (config.sigma_o, config.delta),
-                                  (sigma_o, delta), tid, hist):
-            return [(None, None)]
-        return [(self._replace(config, idx, ts, ops_left, sigma_o, delta),
-                 None)
+    def _finish_step(self, tid: int, tstate: ThreadState, ops_left: int,
+                     before: SharedView, sigma_o: Store, delta: Delta,
+                     hist: Trace, result: InstrumentedRunResult):
+        if not self._check_shared(result, before, (sigma_o, delta), tid,
+                                  hist):
+            return [_ABORTED]
+        return [((ts, ops_left), sigma_o, delta, None)
                 for ts, _sc in self._visible(tstate, sigma_o)]
-
-    def _step_with(self, config, idx, tid, ops_left, tstate, hist, result):
-        cfg = self._replace(config, idx, tstate, ops_left,
-                            config.sigma_o, config.delta)
-        return self._step(cfg, idx, tid, ops_left, hist, result)
 
 
 def verify_instrumented(iobj: InstrumentedObject, menu: CallMenu,

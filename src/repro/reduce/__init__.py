@@ -47,7 +47,11 @@ from .eligibility import (
 )
 from .footprint import Footprint, footprints_independent
 from .intern import Interner
-from .ownership import compute_owner, footprint_is_private
+from .ownership import (
+    compute_owner,
+    footprint_in_object_heap,
+    footprint_is_private,
+)
 from .policy import (
     DEFAULT_REDUCE,
     REDUCE_MODES,
@@ -86,6 +90,7 @@ __all__ = [
     "canonicalize_config",
     "close_traces",
     "compute_owner",
+    "footprint_in_object_heap",
     "footprint_is_private",
     "footprints_independent",
     "resolve_policy",

@@ -33,14 +33,15 @@ from .symmetry import SYM_BASE, SYM_STRIDE
 SHARED = 0  # owner id meaning "reachable by more than one party"
 
 
-def _closure(roots: Iterable[int], heap, max_offset: int,
+def _closure(roots: Iterable[int], heap: dict, max_offset: int,
              blocks: Optional[Dict[int, list]]) -> set:
     """All heap cells reachable from ``roots`` through stored values.
 
-    An integer value can directly address ``[v, v + max_offset]`` in
-    the dense regime; in the sparse (symmetry) regime, the whole
-    aligned block, looked up in the precomputed ``blocks`` map
-    (``base -> [(cell, value), ...]``).
+    ``heap`` is σ_o's underlying dict (read directly: this loop is the
+    analysis' hot path).  An integer value can directly address
+    ``[v, v + max_offset]`` in the dense regime; in the sparse
+    (symmetry) regime, the whole aligned block, looked up in the
+    precomputed ``blocks`` map (``base -> [(cell, value), ...]``).
     """
 
     reached = set()
@@ -77,7 +78,7 @@ def compute_owner(config, policy) -> Dict[int, int]:
     anybody.
     """
 
-    heap = config.sigma_o
+    heap = config.sigma_o._data
     max_offset = policy.max_offset
 
     from ..memory.heap import QUARANTINE_KEY
@@ -92,7 +93,7 @@ def compute_owner(config, policy) -> Dict[int, int]:
         elif blocks is not None and key >= SYM_BASE:
             base = SYM_BASE + ((key - SYM_BASE) // SYM_STRIDE) * SYM_STRIDE
             blocks.setdefault(base, []).append((key, value))
-    for value in config.sigma_c.values():
+    for value in config.sigma_c._data.values():
         shared_roots.append(value)
 
     owner: Dict[int, int] = {}
@@ -104,7 +105,7 @@ def compute_owner(config, policy) -> Dict[int, int]:
         if frame is None:
             continue
         tid = idx + 1
-        for cell in _closure(frame.locals.values(), heap, max_offset,
+        for cell in _closure(frame.locals._data.values(), heap, max_offset,
                              blocks):
             prev = owner.get(cell)
             if prev is None:
@@ -112,6 +113,20 @@ def compute_owner(config, policy) -> Dict[int, int]:
             elif prev != tid:
                 owner[cell] = SHARED
     return owner
+
+
+def footprint_in_object_heap(footprint) -> bool:
+    """True when every location the step touches is an object-heap
+    cell — the only locations an owner map can make private (see
+    :func:`footprint_is_private`), so a step failing this needs no map."""
+
+    for kind, key in footprint.reads:
+        if kind != "o" or not isinstance(key, int):
+            return False
+    for kind, key in footprint.writes:
+        if kind != "o" or not isinstance(key, int):
+            return False
+    return True
 
 
 def footprint_is_private(footprint, owner: Dict[int, int],
@@ -125,12 +140,12 @@ def footprint_is_private(footprint, owner: Dict[int, int],
     heap cell must never be looked up in it.
     """
 
-    for kind, key in footprint.reads:
-        if kind != "o" or not isinstance(key, int) \
-                or owner.get(key) != tid:
+    if not footprint_in_object_heap(footprint):
+        return False
+    for _, key in footprint.reads:
+        if owner.get(key) != tid:
             return False
-    for kind, key in footprint.writes:
-        if kind != "o" or not isinstance(key, int) \
-                or owner.get(key) != tid:
+    for _, key in footprint.writes:
+        if owner.get(key) != tid:
             return False
     return True

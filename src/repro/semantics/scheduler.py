@@ -29,6 +29,7 @@ from ..reduce import (
     Interner,
     canonicalize_config,
     compute_owner,
+    footprint_in_object_heap,
     footprint_is_private,
     resolve_policy,
 )
@@ -44,7 +45,7 @@ from ..reduce.symmetry import (
     step_keeps_canonical,
 )
 from .events import Event, Trace
-from .search import NO_SLEEP, Node, search
+from .search import NO_SLEEP, BoundedCache, Node, search
 from .thread import (
     ThreadState,
     expand_until_visible,
@@ -112,8 +113,7 @@ class Limits:
 ExploreNode = Node
 
 #: Entries held by the per-explorer ownership-map cache before it is
-#: cleared wholesale (a simple bound beats an LRU here: keys repeat in
-#: bursts while a region of the state space is explored).
+#: cleared wholesale (see :class:`~repro.semantics.search.BoundedCache`).
 _OWNER_CACHE_CAP = 1 << 15
 
 #: Entries held by the per-explorer canonicalization cache (compiled
@@ -121,6 +121,10 @@ _OWNER_CACHE_CAP = 1 << 15
 #: successor over and over, and the canonical representative of a
 #: configuration never changes.
 _CANON_CACHE_CAP = 1 << 16
+
+#: Entries held by the per-explorer step memo (see
+#: :meth:`Explorer._thread_successors`).
+_STEP_MEMO_CAP = 1 << 15
 
 
 @dataclass
@@ -296,10 +300,15 @@ class Explorer:
         # only in their (integer) program counters — ownership depends
         # on (σ_o, σ_c, frames) alone, never on control.
         self._fast_sym = self.compiled is not None and self.policy.sym
-        self._owner_cache: Optional[Dict[tuple, Dict[int, int]]] = (
-            {} if self.compiled is not None and self.policy.por else None)
-        self._canon_cache: Optional[Dict[Config, tuple]] = (
-            {} if self._fast_sym else None)
+        self._owner_cache: Optional[BoundedCache] = (
+            BoundedCache(_OWNER_CACHE_CAP)
+            if self.compiled is not None and self.policy.por else None)
+        self._canon_cache: Optional[BoundedCache] = (
+            BoundedCache(_CANON_CACHE_CAP) if self._fast_sym else None)
+        # A thread's successors depend only on its own state and the
+        # stores, never on the other threads: memoized on exactly those
+        # (see :meth:`_thread_successors`).
+        self._step_memo = BoundedCache(_STEP_MEMO_CAP)
 
         # Sleep-set POR: independence is decided *only* on the static
         # footprint templates of control heads (see
@@ -343,9 +352,7 @@ class Explorer:
         The map depends only on the stores and frames — not on the
         thread controls — so configurations that differ only in program
         counters (ubiquitous once controls are table indices) share one
-        computation.  The cache is bounded: at capacity it is simply
-        cleared, which keeps the common steady state fast without
-        letting a long exploration hoard memory.
+        computation.
         """
 
         cache = self._owner_cache
@@ -355,11 +362,37 @@ class Explorer:
                tuple(t.frame for t in config.threads))
         owner = cache.get(key)
         if owner is None:
-            if len(cache) >= _OWNER_CACHE_CAP:
-                cache.clear()
-            owner = compute_owner(config, self.policy)
-            cache[key] = owner
+            owner = cache.put(key, compute_owner(config, self.policy))
         return owner
+
+    def _thread_successors(self, tid: int, tstate: ThreadState,
+                           sigma_c: Store, sigma_o: Store, por: bool
+                           ) -> tuple:
+        """Thread ``tid``'s step outcomes from ``tstate``, each paired
+        with its invisible-compression expansion (``None`` for an aborted
+        outcome).
+
+        Memoized on ``(tid, tstate, σ_c, σ_o, por)``: a step is a pure
+        function of the thread's own state and the two stores (``por``
+        asks for footprints, ``policy.alloc`` is fixed per explorer), so
+        every combination of the other threads' states shares one
+        computation.  ``_step`` and ``_visible`` are looked up on each
+        miss, so wrappers installed on the instance after ``__init__``
+        see every computed step.  A step that raises is not memoized: it
+        raises again on the next call.
+        """
+
+        key = (tid, tstate, sigma_c, sigma_o, por)
+        memo = self._step_memo
+        hit = memo.get(key)
+        if hit is None:
+            visible = self._visible
+            hit = memo.put(key, tuple(
+                (oc, None if oc.aborted else visible(
+                    oc.thread_state, oc.sigma_c, oc.sigma_o))
+                for oc in self._step(tstate, tid, sigma_c, sigma_o, por,
+                                     self.policy.alloc)))
+        return hit
 
     def _note_divergence(self, tid: int, exc: BaseException) -> None:
         message = f"thread {tid}: {exc}"
@@ -551,7 +584,7 @@ class Explorer:
         self._succ_sleeps = None
 
         slept = 0
-        per_thread: List[Tuple[int, list]] = []
+        per_thread: List[Tuple[int, tuple]] = []
         for idx, tstate in enumerate(config.threads):
             tid = idx + 1
             if sleep_on and tid in sleep:
@@ -561,8 +594,8 @@ class Explorer:
                 slept += 1
                 continue
             try:
-                outcomes = self._step(tstate, tid, config.sigma_c,
-                                      config.sigma_o, por, policy.alloc)
+                succs = self._thread_successors(
+                    tid, tstate, config.sigma_c, config.sigma_o, por)
             except AtomicLoopDivergence as exc:
                 # Divergent atomic block: cut this transition, but
                 # surface the truncation instead of dropping it silently.
@@ -571,30 +604,33 @@ class Explorer:
             except BoundExceeded:
                 # Any other bound inside a step: treat as a cut.
                 continue
-            if outcomes:
-                per_thread.append((idx, outcomes))
+            if succs:
+                per_thread.append((idx, succs))
         if slept:
             self.sleep_skipped += slept
             self._last_slept = slept
 
         if por and len(per_thread) > 1:
             owner = None
-            chosen: Optional[Tuple[int, list]] = None
-            for idx, outcomes in per_thread:
+            chosen: Optional[Tuple[int, tuple]] = None
+            for idx, succs in per_thread:
                 if any(oc.aborted or oc.event is not None
-                       for oc in outcomes):
+                       for oc, _ in succs):
                     continue
-                fp = outcomes[0].footprint  # shared across outcomes
+                fp = succs[0][0].footprint  # shared across outcomes
                 if fp is None:
                     continue
                 if fp.allocates and not policy.sym:
                     # Allocation order is only commutative modulo address
                     # renaming, which needs the symmetry pass active.
                     continue
+                if not footprint_in_object_heap(fp):
+                    # No owner map can make this step private.
+                    continue
                 if owner is None:
                     owner = self._owner_of(config)
                 if footprint_is_private(fp, owner, idx + 1):
-                    chosen = (idx, outcomes)
+                    chosen = (idx, succs)
                     break
             if chosen is not None:
                 pruned = sum(len(ocs) for i, ocs in per_thread
@@ -622,7 +658,7 @@ class Explorer:
             pred_sc = config.sigma_c
             pred_sc_sparse = sparse_subset(pred_sc._data)
             roots = root_bases(config.sigma_o)
-        for idx, outcomes in per_thread:
+        for idx, succs in per_thread:
             tid = idx + 1
             tmpl = None
             new_sleep = NO_SLEEP
@@ -646,7 +682,7 @@ class Explorer:
                 pred_frame_sparse = (
                     None if pred_frame is None
                     else sparse_subset(pred_frame.locals._data))
-            for outcome in outcomes:
+            for outcome, expanded in succs:
                 if outcome.aborted:
                     event = outcome.event
                     if pi is not None and event is not None:
@@ -667,8 +703,6 @@ class Explorer:
                 # values too; those are checked per expansion below.
                 keeps = fast_sym and step_keeps_canonical(
                     outcome.footprint, config.sigma_o, outcome.sigma_o)
-                expanded = self._visible(
-                    outcome.thread_state, outcome.sigma_c, outcome.sigma_o)
                 for ts, sc in expanded:
                     if interner is not None:
                         ts = interner.thread_state(ts)
@@ -712,16 +746,11 @@ class Explorer:
                                     next_config, Store)
                             else:
                                 hit = cache.get(next_config)
-                                if hit is not None:
-                                    next_config, changed = hit
-                                else:
-                                    key = next_config
-                                    next_config, changed = \
-                                        canonicalize_config(
-                                            next_config, Store)
-                                    if len(cache) >= _CANON_CACHE_CAP:
-                                        cache.clear()
-                                    cache[key] = (next_config, changed)
+                                if hit is None:
+                                    hit = cache.put(
+                                        next_config, canonicalize_config(
+                                            next_config, Store))
+                                next_config, changed = hit
                             if changed:
                                 self.sym_merged += 1
                     if interner is not None:
@@ -733,7 +762,7 @@ class Explorer:
                             if rotated and new_sleep else new_sleep)
             if sleep_on and tmpl is not None and all(
                     not oc.aborted and oc.event is None
-                    for oc in outcomes):
+                    for oc, _ in succs):
                 # This thread's step is a proven-invisible template step:
                 # later siblings' successors may sleep it (the (sibling
                 # then this) order is equivalent to the (this then

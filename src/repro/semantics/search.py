@@ -37,6 +37,33 @@ Node = Tuple[object, object, int, object]
 NO_SLEEP: FrozenSet[int] = frozenset()
 
 
+class BoundedCache(dict):
+    """A dict that empties itself once it holds ``cap`` entries.
+
+    The search's clients memoize pure functions of a node (ownership
+    maps, canonical representatives, a thread's successors) in these.
+    Clearing wholesale beats an LRU here: keys repeat in bursts while a
+    region of the state space is explored, and the bound keeps a long
+    run from hoarding memory.  ``cap <= 0`` stores nothing.
+    """
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def put(self, key, value):
+        """Store ``value`` under ``key`` (clearing first when full) and
+        return it."""
+
+        if len(self) >= self.cap:
+            self.clear()
+        if self.cap > 0:
+            self[key] = value
+        return value
+
+
 class StopSearch(Exception):
     """Raised by a client's ``advance`` to end the search at once (a
     decider found its violation); the search then returns no spill."""

@@ -1,0 +1,132 @@
+"""Registry-wide probe: every decider's counts, sets and failures as JSON.
+
+On every registry algorithm (the synthesized entries included) and the
+Sec-2.4 racy counter, at 2 threads x 1 operation, the probe runs
+
+* the explorer, on the compiled tables and on the interpreter;
+* the Def-2 product (``check_program_linearizable``);
+* Def-3 refinement with printing clients (its concrete exploration and
+  the verdict);
+* the Fig-11 witness, with and without complete histories;
+
+and records node counts, digests of the history and observable sets,
+the reduction and dedup counters and the failure records.  Run as a
+script it prints the JSON::
+
+    PYTHONPATH=src python tests/registry_probe.py > probe.json
+
+The output must not depend on ``PYTHONHASHSEED``; the tests compare
+:func:`probe` with the step memos on and off.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from types import SimpleNamespace
+
+from repro.algorithms import algorithm_names, get_algorithm
+from repro.algorithms.base import DEFAULT_LIMITS
+from repro.algorithms.counter_nonatomic import (
+    instrumented_racy_counter,
+    racy_counter,
+)
+from repro.algorithms.specs import counter_spec
+from repro.history.object_lin import check_program_linearizable
+from repro.instrument.runner import InstrumentedRunner
+from repro.lang.program import Program
+from repro.refinement.contextual import check_clients_refinement
+from repro.semantics.mgc import mgc_program, printing_client
+from repro.semantics.scheduler import explore
+
+RACY = "racy_counter"
+THREADS, OPS = 2, 1
+#: Result counters every search reports (absent ones read as 0).
+COUNTERS = ("por_pruned", "sym_merged", "sleep_skipped", "tsym_merged",
+            "dedup_hits", "dedup_lookups")
+
+
+def probe_names():
+    return algorithm_names(include_synthesized=True) + [RACY]
+
+
+def algorithm(name: str):
+    if name != RACY:
+        return get_algorithm(name)
+    return SimpleNamespace(
+        impl=racy_counter(), spec=counter_spec(),
+        instrumented=instrumented_racy_counter(),
+        workload=SimpleNamespace(menu=[("inc", 0)]),
+        invariant=None, guarantee=None, limits=DEFAULT_LIMITS)
+
+
+def digest(traces) -> str:
+    """An order-independent digest of a set of traces."""
+
+    text = "\n".join(sorted(repr(t) for t in traces))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _search(result, nodes) -> dict:
+    return {"nodes": nodes, "bounded": result.bounded,
+            **{k: getattr(result, k, 0) for k in COUNTERS}}
+
+
+def _explore(result) -> dict:
+    return {**_search(result, result.nodes),
+            "histories": digest(result.histories),
+            "observables": digest(result.observables),
+            "aborted": result.aborted,
+            "terminal": len(result.terminal_configs),
+            "semantics": result.semantics}
+
+
+def witness_record(result) -> dict:
+    return {**_search(result, result.nodes), "ok": result.ok,
+            "histories": digest(result.histories),
+            "failures": [[f.kind, f.message, repr(f.history)]
+                         for f in result.failures],
+            "semantics": result.semantics}
+
+
+def probe_one(name: str) -> dict:
+    alg = algorithm(name)
+    menu = alg.workload.menu
+    program = mgc_program(alg.impl, menu, threads=THREADS,
+                          ops_per_thread=OPS)
+    out = {
+        "explore": _explore(explore(program, engine="sequential+compiled")),
+        "explore-interp": _explore(
+            explore(program, engine="sequential+interp")),
+    }
+    product = check_program_linearizable(program, alg.spec, alg.limits)
+    out["product"] = {**_search(product, product.nodes), "ok": product.ok,
+                      "histories": digest(product.histories),
+                      "counterexample": repr(product.counterexample)}
+
+    clients = tuple(printing_client(menu, OPS, prefix=f"t{t}")
+                    for t in range(1, THREADS + 1))
+    concrete = explore(Program(alg.impl, clients, (), True))
+    refines = check_clients_refinement(alg.impl, alg.spec, clients,
+                                       alg.limits, private_client_vars=True)
+    out["refinement"] = {**_explore(concrete), "ok": refines.ok,
+                         "abstract": refines.abstract_traces,
+                         "missing": repr(refines.missing)}
+
+    for complete in (False, True):
+        runner = InstrumentedRunner(
+            alg.instrumented, menu, THREADS, OPS, alg.limits,
+            alg.invariant, alg.guarantee, history_complete=complete)
+        key = "witness-complete" if complete else "witness"
+        out[key] = witness_record(runner.run())
+    return out
+
+
+def probe(names=None) -> dict:
+    return {name: probe_one(name) for name in (names or probe_names())}
+
+
+if __name__ == "__main__":
+    json.dump(probe(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -14,16 +14,29 @@ Three properties every engine relies on:
   one expansion per call and converges to the same sets;
 * ``Limits`` means the same in every decider: the node budget and the
   depth rule are the one search core's
-  (:mod:`repro.semantics.search`).
+  (:mod:`repro.semantics.search`);
+* the step memos of the explorer and the witness runner are exact and
+  bounded: with them emptied (capacity 0, the uncached oracle) every
+  decider reports identical nodes, sets, counters and failure records.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.instrument.runner as runner_mod
+import repro.semantics.scheduler as scheduler_mod
+from registry_probe import (
+    RACY,
+    algorithm,
+    probe_names,
+    probe_one,
+    witness_record,
+)
 from repro.algorithms import get_algorithm
+from repro.engine.random_walk import random_walk_instrumented
 from repro.history.object_lin import check_program_linearizable
-from repro.instrument.runner import verify_instrumented
+from repro.instrument.runner import InstrumentedRunner, verify_instrumented
 from repro.memory.store import Store
 from repro.reduce import SYM_BASE, SYM_STRIDE
 from repro.semantics.abstract import AbstractProgram, explore_abstract
@@ -223,3 +236,102 @@ def test_deciders_share_one_depth_rule(deciders):
               for name, run in deciders.items()}
     assert depths["explore"] == depths["product"] == depths["witness"]
     assert depths["explore"] > depths["abstract"] == 2
+
+
+# ---------------------------------------------------------------------------
+# The step memos: exact and bounded
+# ---------------------------------------------------------------------------
+
+
+def _set_memo_cap(monkeypatch, cap):
+    """Capacity of both step memos for explorers and runs started after
+    the call; 0 stores nothing, which is the uncached oracle."""
+
+    monkeypatch.setattr(scheduler_mod, "_STEP_MEMO_CAP", cap)
+    monkeypatch.setattr(runner_mod, "_STEP_MEMO_CAP", cap)
+
+
+@pytest.mark.parametrize("name", probe_names())
+def test_step_memo_is_exact_on_every_decider(monkeypatch, name):
+    """Explore (compiled and interpreted), product, refinement and the
+    witness in both history modes: identical with the memos on and off."""
+
+    cached = probe_one(name)
+    _set_memo_cap(monkeypatch, 0)
+    assert probe_one(name) == cached
+
+
+def _runner(name="hsy_stack", **kw):
+    alg = algorithm(name)
+    return InstrumentedRunner(alg.instrumented, alg.workload.menu, 2, 1,
+                              alg.limits, kw.pop("invariant", alg.invariant),
+                              alg.guarantee, **kw)
+
+
+def _walk_record(runner, seed):
+    result = random_walk_instrumented(runner, walks=64, seed=seed)
+    return witness_record(result)
+
+
+@pytest.mark.parametrize("name", ["hsy_stack", RACY])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_step_memo_keeps_the_seeded_random_walk(monkeypatch, name, seed):
+    cached = _walk_record(_runner(name), seed)
+    assert cached["ok"] == (name != RACY)
+    _set_memo_cap(monkeypatch, 0)
+    assert _walk_record(_runner(name), seed) == cached
+
+
+@pytest.mark.parametrize("history_complete", [False, True])
+def test_step_memo_keeps_every_failure_record(monkeypatch,
+                                              history_complete):
+    """A wrong invariant fails at many states reached by different
+    interleavings of one step: a failing step is never served from the
+    memo, so each failure keeps its own record and history."""
+
+    alg = get_algorithm("hsy_stack")
+
+    def wrong(sigma_o, delta):
+        theta = alg.phi.of(sigma_o)
+        if theta is not None and theta["Stk"]:
+            return "the central stack is not empty"
+        return alg.invariant(sigma_o, delta)
+
+    def run():
+        runner = _runner(invariant=wrong, max_failures=3,
+                         history_complete=history_complete)
+        return runner, witness_record(runner.run())
+
+    runner, cached = run()
+    assert len(cached["failures"]) == 3 and len(runner._step_memo) > 0
+    _set_memo_cap(monkeypatch, 0)
+    runner, uncached = run()
+    assert len(runner._step_memo) == 0
+    assert uncached == cached
+
+
+def test_small_memo_capacity_bounds_the_memos(monkeypatch):
+    program = _program("treiber", threads=2, ops=1)
+    full = Explorer(program).run()
+    witness = witness_record(_runner().run())
+
+    _set_memo_cap(monkeypatch, 8)
+    explorer = Explorer(program)
+    peak = 0
+    step = explorer._thread_successors
+
+    def watched(*args):
+        nonlocal peak
+        out = step(*args)
+        peak = max(peak, len(explorer._step_memo))
+        return out
+
+    explorer._thread_successors = watched
+    small = explorer.run()
+    assert 0 < peak <= 8
+    assert (small.nodes, small.histories, small.observables) == \
+        (full.nodes, full.histories, full.observables)
+
+    runner = _runner()
+    assert witness_record(runner.run()) == witness
+    assert 0 < len(runner._step_memo) <= 8
