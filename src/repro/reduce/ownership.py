@@ -68,7 +68,26 @@ def _closure(roots: Iterable[int], heap: dict, max_offset: int,
     return reached
 
 
-def compute_owner(config, policy) -> Dict[int, int]:
+def _heap_index(sigma_o, sym: bool):
+    """σ_o's named-variable values (shared roots) and, in the sparse
+    regime, its block index ``base -> [(cell, value), ...]``."""
+
+    from ..memory.heap import QUARANTINE_KEY
+
+    named = []
+    blocks: Optional[Dict[int, list]] = {} if sym else None
+    for key, value in sigma_o._data.items():
+        if isinstance(key, str):
+            if key == QUARANTINE_KEY:
+                continue  # allocator bitmask, not a program value
+            named.append(value)
+        elif blocks is not None and key >= SYM_BASE:
+            base = SYM_BASE + ((key - SYM_BASE) // SYM_STRIDE) * SYM_STRIDE
+            blocks.setdefault(base, []).append((key, value))
+    return named, blocks
+
+
+def compute_owner(config, policy, memo=None) -> Dict[int, int]:
     """Map every reachable heap cell of σ_o to its owner.
 
     Owner ids: ``SHARED`` (0) for cells reachable from the shared roots
@@ -76,28 +95,38 @@ def compute_owner(config, policy) -> Dict[int, int]:
     cells reachable only from that thread's frame locals.  Cells absent
     from the map are unreachable garbage — conservatively not owned by
     anybody.
+
+    ``memo`` (a :class:`~repro.semantics.search.BoundedCache`, or
+    ``None``) holds the heap-shape pieces of the map on exactly what
+    each reads, so configurations sharing a heap shape share the work:
+    σ_o's block index on ``σ_o``, the shared-root closure on
+    ``("shared", σ_o, σ_c)`` and a thread's closure on
+    ``("local", σ_o, frame locals)``.  One memo must serve one policy
+    (one explorer).  The stored closures are never mutated.
     """
 
-    heap = config.sigma_o._data
+    sigma_o = config.sigma_o
+    heap = sigma_o._data
     max_offset = policy.max_offset
+    sigma_c = config.sigma_c
 
-    from ..memory.heap import QUARANTINE_KEY
+    index = None if memo is None else memo.get(sigma_o)
+    if index is None:
+        index = _heap_index(sigma_o, policy.sym)
+        if memo is not None:
+            memo.put(sigma_o, index)
+    named, blocks = index
 
-    blocks: Optional[Dict[int, list]] = {} if policy.sym else None
-    shared_roots = list(policy.value_consts)
-    for key, value in heap.items():
-        if isinstance(key, str):
-            if key == QUARANTINE_KEY:
-                continue  # allocator bitmask, not a program value
-            shared_roots.append(value)
-        elif blocks is not None and key >= SYM_BASE:
-            base = SYM_BASE + ((key - SYM_BASE) // SYM_STRIDE) * SYM_STRIDE
-            blocks.setdefault(base, []).append((key, value))
-    for value in config.sigma_c._data.values():
-        shared_roots.append(value)
-
+    key = ("shared", sigma_o, sigma_c)
+    shared = None if memo is None else memo.get(key)
+    if shared is None:
+        shared = _closure(
+            list(policy.value_consts) + named
+            + list(sigma_c._data.values()), heap, max_offset, blocks)
+        if memo is not None:
+            memo.put(key, shared)
     owner: Dict[int, int] = {}
-    for cell in _closure(shared_roots, heap, max_offset, blocks):
+    for cell in shared:
         owner[cell] = SHARED
 
     for idx, tstate in enumerate(config.threads):
@@ -105,8 +134,14 @@ def compute_owner(config, policy) -> Dict[int, int]:
         if frame is None:
             continue
         tid = idx + 1
-        for cell in _closure(frame.locals._data.values(), heap, max_offset,
-                             blocks):
+        key = ("local", sigma_o, frame.locals)
+        reached = None if memo is None else memo.get(key)
+        if reached is None:
+            reached = _closure(frame.locals._data.values(), heap,
+                               max_offset, blocks)
+            if memo is not None:
+                memo.put(key, reached)
+        for cell in reached:
             prev = owner.get(cell)
             if prev is None:
                 owner[cell] = tid

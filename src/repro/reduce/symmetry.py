@@ -49,7 +49,7 @@ than risk merging distinguishable configurations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..lang.ast import Noret
 from .eligibility import _enum_nodes
@@ -84,21 +84,33 @@ def check_event_escape(event) -> None:
                 f"use reduce='por'")
 
 
-def sparse_subset(data) -> Optional[Dict]:
-    """The sparse-valued entries of a plain ``dict`` of store data.
+def address_items(data) -> tuple:
+    """The address-valued entries (values ``≥ SYM_BASE``) of a plain
+    ``dict`` of store data, as ``(key, value)`` pairs in the dict's order.
 
-    Returns ``None`` (not an empty dict) when there are none, so the
-    overwhelmingly common "no addresses here" case compares as a cheap
-    ``None == None``.
+    ``()`` when there are none, so the overwhelmingly common "no
+    addresses here" case compares as a cheap ``() == ()``.  These are
+    exactly the entries the canonical walk reads and renames.
     """
 
-    out: Optional[Dict] = None
-    for key, value in data.items():
-        if value >= SYM_BASE:
-            if out is None:
-                out = {}
-            out[key] = value
-    return out
+    return tuple([(key, value) for key, value in data.items()
+                  if type(value) is int and value >= SYM_BASE])
+
+
+def frame_addresses(frame) -> tuple:
+    """:func:`address_items` of a frame's locals (``()`` for no frame).
+
+    Cached on the frame, as its hash is: frames are immutable, and the
+    explorer reads this once per successor.
+    """
+
+    if frame is None:
+        return ()
+    cached = frame.__dict__.get("_addresses")
+    if cached is None:
+        cached = address_items(frame.locals._data)
+        frame.__dict__["_addresses"] = cached
+    return cached
 
 
 def root_bases(sigma_o) -> FrozenSet[int]:
@@ -115,8 +127,9 @@ def root_bases(sigma_o) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def frame_change_covered(old_sparse, new_sparse, roots) -> bool:
-    """Did a frame's sparse locals change only in root-covered blocks?
+def frame_change_covered(old_addresses, new_addresses, roots) -> bool:
+    """Did a frame's address-valued locals change only in root-covered
+    blocks?
 
     Second tier of the compiled-mode canonicalization fast path (first
     tier: :func:`step_keeps_canonical` proves the σ_o side untouched).
@@ -127,14 +140,14 @@ def frame_change_covered(old_sparse, new_sparse, roots) -> bool:
     was already discovered — nor orphans the block.  Any change
     involving a block no root holds falls back to the full pass.
 
-    ``old_sparse`` / ``new_sparse`` are :func:`sparse_subset` results
-    (``None`` for empty).
+    ``old_addresses`` / ``new_addresses`` are :func:`frame_addresses`
+    results.
     """
 
-    if old_sparse == new_sparse:
+    if old_addresses == new_addresses:
         return True
-    old = old_sparse or {}
-    new = new_sparse or {}
+    old = dict(old_addresses)
+    new = dict(new_addresses)
     for k, v in old.items():
         if new.get(k) == v:
             continue
@@ -169,10 +182,10 @@ def step_keeps_canonical(footprint, pred_sigma_o, new_sigma_o) -> bool:
     can have appeared — the successor is *already* canonical.  The
     caller must separately check the thread-frame locals and σ_c roots
     (invisible-step compression mutates those without a footprint); see
-    :func:`sparse_subset`.
+    :func:`address_items`.
 
-    σ_c writes are deliberately ignored here: the caller's σ_c
-    sparse-subset comparison subsumes them.  Conservative by design —
+    σ_c writes are deliberately ignored here: the caller's comparison of
+    the σ_c address entries subsumes them.  Conservative by design —
     any ``False`` merely falls back to the full canonicalization pass.
     """
 

@@ -36,17 +36,19 @@ from ..reduce import (
 from ..reduce.footprint import footprints_independent
 from ..reduce.symmetry import (
     ThreadPermuter,
+    address_items,
     check_event_escape,
     close_traces,
+    frame_addresses,
     frame_change_covered,
     root_bases,
     rotation,
-    sparse_subset,
     step_keeps_canonical,
 )
 from .events import Event, Trace
 from .search import NO_SLEEP, BoundedCache, Node, search
 from .thread import (
+    Frame,
     ThreadState,
     expand_until_visible,
     initial_thread,
@@ -116,11 +118,14 @@ ExploreNode = Node
 #: cleared wholesale (see :class:`~repro.semantics.search.BoundedCache`).
 _OWNER_CACHE_CAP = 1 << 15
 
-#: Entries held by the per-explorer canonicalization cache (compiled
-#: mode): different interleavings regenerate the same pre-canonical
-#: successor over and over, and the canonical representative of a
-#: configuration never changes.
-_CANON_CACHE_CAP = 1 << 16
+#: Entries held by the per-explorer ownership-closure memo (see
+#: :func:`repro.reduce.ownership.compute_owner`).
+_CLOSURE_MEMO_CAP = 1 << 15
+
+#: Entries held by the per-explorer address-shape memo (see
+#: :meth:`Explorer._canonical`): many configurations share one heap
+#: shape, and the canonical renaming of a shape never changes.
+_SHAPE_MEMO_CAP = 1 << 16
 
 #: Entries held by the per-explorer step memo (see
 #: :meth:`Explorer._thread_successors`).
@@ -291,20 +296,19 @@ class Explorer:
         self._step = _step
         self._visible = _visible
 
-        # Table-indexed fast paths, active only under the compiled
+        # Table-indexed fast path, active only under the compiled
         # semantics: every compiled step carries a precomputed footprint
-        # template, which lets the explorer (a) prove most successors
+        # template, which lets the explorer prove most successors
         # already canonical without walking them (see
-        # :func:`repro.reduce.symmetry.step_keeps_canonical`) and
-        # (b) reuse ownership maps across configurations that differ
-        # only in their (integer) program counters — ownership depends
-        # on (σ_o, σ_c, frames) alone, never on control.
+        # :func:`repro.reduce.symmetry.step_keeps_canonical`).
         self._fast_sym = self.compiled is not None and self.policy.sym
-        self._owner_cache: Optional[BoundedCache] = (
-            BoundedCache(_OWNER_CACHE_CAP)
-            if self.compiled is not None and self.policy.por else None)
-        self._canon_cache: Optional[BoundedCache] = (
-            BoundedCache(_CANON_CACHE_CAP) if self._fast_sym else None)
+        # Ownership and canonicalization read the stores and frame
+        # locals, never a control: both are memoized on the heap shape,
+        # under either semantics (see :meth:`_owner_of` and
+        # :meth:`_canonical`).
+        self._owner_cache = BoundedCache(_OWNER_CACHE_CAP)
+        self._closure_memo = BoundedCache(_CLOSURE_MEMO_CAP)
+        self._shape_memo = BoundedCache(_SHAPE_MEMO_CAP)
         # A thread's successors depend only on its own state and the
         # stores, never on the other threads: memoized on exactly those
         # (see :meth:`_thread_successors`).
@@ -347,23 +351,75 @@ class Explorer:
                                             compiled=self.compiled)
 
     def _owner_of(self, config: "Config") -> Dict[int, int]:
-        """The ownership map of ``config``, cached under compiled mode.
+        """The ownership map of ``config``, cached on its stores and
+        frames.
 
         The map depends only on the stores and frames — not on the
         thread controls — so configurations that differ only in program
-        counters (ubiquitous once controls are table indices) share one
-        computation.
+        counters share one computation; a miss shares the closures
+        inside it through the closure memo.
         """
 
         cache = self._owner_cache
-        if cache is None:
-            return compute_owner(config, self.policy)
         key = (config.sigma_o, config.sigma_c,
                tuple(t.frame for t in config.threads))
         owner = cache.get(key)
         if owner is None:
-            owner = cache.put(key, compute_owner(config, self.policy))
+            owner = cache.put(key, compute_owner(
+                config, self.policy, self._closure_memo))
         return owner
+
+    def _canonical(self, config: "Config") -> Tuple["Config", bool]:
+        """``canonicalize_config(config, Store)``, memoized on the
+        address shape of ``config``.
+
+        The canonical walk reads σ_o, each thread's address-valued frame
+        locals (thread by thread) and the address-valued σ_c entries —
+        never a control, never a value below ``SYM_BASE`` — and renames
+        only those.  So the memo is keyed on exactly these and stores
+        ``(changed, σ_o', moved frames, moved σ_c entries)``: a hit
+        reuses the stored σ_o' and rebuilds only the frames and the σ_c
+        whose address values move.  A miss calls ``canonicalize_config``
+        by this module's name, so a wrapper installed there sees every
+        walk.
+        """
+
+        threads = config.threads
+        sigma_c = config.sigma_c
+        key = (config.sigma_o,
+               tuple([frame_addresses(t.frame) for t in threads]),
+               address_items(sigma_c._data))
+        memo = self._shape_memo
+        hit = memo.get(key)
+        if hit is None:
+            canon, changed = canonicalize_config(config, Store)
+            memo.put(key, (
+                changed, canon.sigma_o,
+                tuple((idx, frame_addresses(new.frame))
+                      for idx, (new, old) in enumerate(
+                          zip(canon.threads, threads))
+                      if new is not old),
+                None if canon.sigma_c is sigma_c
+                else address_items(canon.sigma_c._data)))
+            return canon, changed
+        changed, sigma_o, moved_frames, moved_c = hit
+        if not changed:
+            return config, False
+        if moved_frames:
+            threads = list(threads)
+            for idx, moved in moved_frames:
+                tstate = threads[idx]
+                frame = tstate.frame
+                threads[idx] = ThreadState(
+                    control=tstate.control,
+                    frame=Frame(locals=frame.locals.set_many(moved),
+                                retvar=frame.retvar,
+                                caller_control=frame.caller_control,
+                                method=frame.method))
+            threads = tuple(threads)
+        if moved_c is not None:
+            sigma_c = sigma_c.set_many(moved_c)
+        return Config(threads, sigma_c, sigma_o), True
 
     def _thread_successors(self, tid: int, tstate: ThreadState,
                            sigma_c: Store, sigma_o: Store, por: bool
@@ -656,8 +712,8 @@ class Explorer:
         n_threads = len(config.threads)
         if fast_sym:
             pred_sc = config.sigma_c
-            pred_sc_sparse = sparse_subset(pred_sc._data)
-            roots = root_bases(config.sigma_o)
+            pred_sc_addresses = address_items(pred_sc._data)
+            roots = None  # root_bases(σ_o), once a frame needs it
         for idx, succs in per_thread:
             tid = idx + 1
             tmpl = None
@@ -679,9 +735,7 @@ class Explorer:
                 pi = rotation(n_threads, tsym_k, tid)
             if fast_sym:
                 pred_frame = config.threads[idx].frame
-                pred_frame_sparse = (
-                    None if pred_frame is None
-                    else sparse_subset(pred_frame.locals._data))
+                pred_addresses = frame_addresses(pred_frame)
             for outcome, expanded in succs:
                 if outcome.aborted:
                     event = outcome.event
@@ -729,28 +783,22 @@ class Explorer:
                         canonical = False
                         if keeps and not rotated:
                             frame = ts.frame
-                            if (frame is pred_frame
-                                    or frame_change_covered(
-                                        pred_frame_sparse,
-                                        None if frame is None else
-                                        sparse_subset(frame.locals._data),
-                                        roots)):
-                                canonical = (
-                                    sc is pred_sc
-                                    or sparse_subset(sc._data)
-                                    == pred_sc_sparse)
+                            covered = frame is pred_frame
+                            if not covered:
+                                addresses = frame_addresses(frame)
+                                covered = addresses == pred_addresses
+                                if not covered:
+                                    if roots is None:
+                                        roots = root_bases(config.sigma_o)
+                                    covered = frame_change_covered(
+                                        pred_addresses, addresses, roots)
+                            canonical = covered and (
+                                sc is pred_sc
+                                or address_items(sc._data)
+                                == pred_sc_addresses)
                         if not canonical:
-                            cache = self._canon_cache
-                            if cache is None:
-                                next_config, changed = canonicalize_config(
-                                    next_config, Store)
-                            else:
-                                hit = cache.get(next_config)
-                                if hit is None:
-                                    hit = cache.put(
-                                        next_config, canonicalize_config(
-                                            next_config, Store))
-                                next_config, changed = hit
+                            next_config, changed = self._canonical(
+                                next_config)
                             if changed:
                                 self.sym_merged += 1
                     if interner is not None:

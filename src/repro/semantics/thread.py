@@ -283,7 +283,9 @@ class Frame:
 
     Hash-consed: the hash is computed once and cached (exploration
     hashes every frame many times), and equality short-circuits on
-    identity and on cached-hash mismatch before walking fields.
+    identity and on cached-hash mismatch before walking fields.  The
+    address-valued locals are cached the same way, by
+    :func:`repro.reduce.symmetry.frame_addresses`.
     """
 
     locals: Store

@@ -17,7 +17,9 @@ Three properties every engine relies on:
   (:mod:`repro.semantics.search`);
 * the step memos of the explorer and the witness runner are exact and
   bounded: with them emptied (capacity 0, the uncached oracle) every
-  decider reports identical nodes, sets, counters and failure records.
+  decider reports identical nodes, sets, counters and failure records;
+* the heap-shape memos (canonical forms, ownership closures) serve
+  exactly what the direct, unmemoized calls compute.
 """
 
 import pytest
@@ -25,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.instrument.runner as runner_mod
+import repro.reduce.ownership as ownership_mod
+import repro.reduce.symmetry as symmetry_mod
 import repro.semantics.scheduler as scheduler_mod
 from registry_probe import (
     RACY,
@@ -39,8 +43,9 @@ from repro.history.object_lin import check_program_linearizable
 from repro.instrument.runner import InstrumentedRunner, verify_instrumented
 from repro.memory.store import Store
 from repro.reduce import SYM_BASE, SYM_STRIDE
+from repro.refinement.contextual import check_clients_refinement
 from repro.semantics.abstract import AbstractProgram, explore_abstract
-from repro.semantics.mgc import mgc_program
+from repro.semantics.mgc import mgc_program, printing_client
 from repro.semantics.scheduler import (
     Config,
     ExplorationResult,
@@ -243,11 +248,20 @@ def test_deciders_share_one_depth_rule(deciders):
 # ---------------------------------------------------------------------------
 
 
-def _set_memo_cap(monkeypatch, cap):
-    """Capacity of both step memos for explorers and runs started after
-    the call; 0 stores nothing, which is the uncached oracle."""
+#: The explorer's memos, by attribute, with their capacity constants.
+EXPLORER_MEMOS = {"_step_memo": "_STEP_MEMO_CAP",
+                  "_owner_cache": "_OWNER_CACHE_CAP",
+                  "_closure_memo": "_CLOSURE_MEMO_CAP",
+                  "_shape_memo": "_SHAPE_MEMO_CAP"}
 
-    monkeypatch.setattr(scheduler_mod, "_STEP_MEMO_CAP", cap)
+
+def _set_memo_cap(monkeypatch, cap):
+    """Capacity of the explorer's memos and the witness step memo for
+    explorers and runs started after the call; 0 stores nothing, which
+    is the uncached oracle."""
+
+    for const in EXPLORER_MEMOS.values():
+        monkeypatch.setattr(scheduler_mod, const, cap)
     monkeypatch.setattr(runner_mod, "_STEP_MEMO_CAP", cap)
 
 
@@ -317,21 +331,84 @@ def test_small_memo_capacity_bounds_the_memos(monkeypatch):
 
     _set_memo_cap(monkeypatch, 8)
     explorer = Explorer(program)
-    peak = 0
-    step = explorer._thread_successors
+    peak = dict.fromkeys(EXPLORER_MEMOS, 0)
+    expand = explorer._expand
 
-    def watched(*args):
-        nonlocal peak
-        out = step(*args)
-        peak = max(peak, len(explorer._step_memo))
+    def watched(*args, **kwargs):
+        out = expand(*args, **kwargs)
+        for attr in peak:
+            peak[attr] = max(peak[attr], len(getattr(explorer, attr)))
         return out
 
-    explorer._thread_successors = watched
+    explorer._expand = watched
     small = explorer.run()
-    assert 0 < peak <= 8
+    assert all(0 < n <= 8 for n in peak.values()), peak
     assert (small.nodes, small.histories, small.observables) == \
         (full.nodes, full.histories, full.observables)
 
     runner = _runner()
     assert witness_record(runner.run()) == witness
     assert 0 < len(runner._step_memo) <= 8
+
+
+# ---------------------------------------------------------------------------
+# The heap-shape memos: every served answer is the direct call's
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def shape_oracle(monkeypatch):
+    """Checks every canonical form and owner map any explorer serves
+    against a direct, unmemoized call; yields the call counts."""
+
+    counts = {"canonical": 0, "walks": 0, "owner": 0}
+    canonical = Explorer._canonical
+    owner_of = Explorer._owner_of
+    walk = scheduler_mod.canonicalize_config
+
+    def counted_walk(config, store_cls):
+        counts["walks"] += 1
+        return walk(config, store_cls)
+
+    def checked_canonical(self, config):
+        out, changed = canonical(self, config)
+        direct, direct_changed = symmetry_mod.canonicalize_config(
+            config, Store)
+        assert out == direct and hash(out) == hash(direct)
+        assert changed == direct_changed
+        counts["canonical"] += 1
+        return out, changed
+
+    def checked_owner(self, config):
+        owner = owner_of(self, config)
+        assert owner == ownership_mod.compute_owner(config, self.policy)
+        counts["owner"] += 1
+        return owner
+
+    monkeypatch.setattr(scheduler_mod, "canonicalize_config", counted_walk)
+    monkeypatch.setattr(Explorer, "_canonical", checked_canonical)
+    monkeypatch.setattr(Explorer, "_owner_of", checked_owner)
+    yield counts
+    # Memo-served forms were checked too, not only fresh walks.
+    assert counts["walks"] < counts["canonical"], counts
+    assert counts["owner"] > 0, counts
+
+
+@pytest.mark.parametrize("name,threads", [("treiber", 3), ("hsy_stack", 2)])
+def test_shape_memos_match_direct_calls_on_product(shape_oracle, name,
+                                                   threads):
+    alg = get_algorithm(name)
+    program = _program(name, threads=threads, ops=1)
+    result = check_program_linearizable(program, alg.spec, alg.limits)
+    assert result.ok and not result.bounded
+    if threads == 3:
+        assert result.tsym_merged > 0  # rotated successors are covered
+
+
+def test_shape_memos_match_direct_calls_on_refinement(shape_oracle):
+    alg = get_algorithm("hsy_stack")
+    clients = tuple(printing_client(alg.workload.menu, 1, prefix=f"t{t}")
+                    for t in (1, 2))
+    result = check_clients_refinement(alg.impl, alg.spec, clients,
+                                      alg.limits, private_client_vars=True)
+    assert result.ok and not result.bounded
