@@ -124,31 +124,36 @@ def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
                 out.bounded = True
                 break
             next_config, event = successors[rng.randrange(len(successors))]
-            if event is not None and event.is_object_event:
-                states = monitor.step(states, event)
+            object_event = event is not None and event.is_object_event
+            if object_event:
                 hist = hist + (event,)
                 distinct.add(hist)
-                if not states:
-                    out.ok = False
-                    out.counterexample = hist
-                    out.reason = "history has no legal linearization"
-                    out.histories_checked = len(distinct)
-                    return out
             if next_config is None:
+                # Checked before the monitor, which reads an object
+                # fault as an empty Σ (see ``product_run_from``).
                 out.aborted = True
-                if event is not None and event.is_object_event:
-                    out.ok = False
-                    out.counterexample = hist
-                    out.reason = "object code aborted"
-                    out.histories_checked = len(distinct)
-                    return out
+                if object_event:
+                    return _walk_violation(out, hist, "object code aborted")
                 break
+            if object_event:
+                states = monitor.step(states, event)
+                if not states:
+                    return _walk_violation(
+                        out, hist, "history has no legal linearization")
             config = next_config
             depth += 1
     out.histories_checked = len(distinct)
     if explorer.diagnostics:
         out.bounded = True
         out.diagnostics = tuple(explorer.diagnostics)
+    return out
+
+
+def _walk_violation(out, hist, reason: str):
+    out.ok = False
+    out.counterexample = hist
+    out.reason = reason
+    out.histories_checked = len(out.histories)
     return out
 
 

@@ -22,6 +22,16 @@ The history seen so far is linearizable iff the state set is non-empty.
 This determinized forward search is equivalent to the backward search of
 Def. 1 (it keeps every speculation alive), which our tests confirm by
 cross-checking the two implementations on random histories.
+
+A step is a pure function of ``(states, event)``, and a product search
+meets the same pair many times (different interleavings reach the same
+Σ and emit the same event).  Each monitor therefore memoizes
+:meth:`SpecMonitor.step` on that pair in a
+:class:`~repro.semantics.search.BoundedCache`: a miss runs the closure,
+a hit returns the stored state set.  Equal results are then one object,
+so the product's ``(configuration, states)`` dedup keys compare by
+identity.  ``_MONITOR_MEMO_CAP`` sizes the memo of monitors built after
+it is set; 0 stores nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from ..semantics.events import Event, InvokeEvent, ObjAbortEvent, ReturnEvent
+from ..semantics.search import BoundedCache
 from ..spec.absobj import AbsObj
 from ..spec.gamma import OSpec
 
@@ -38,6 +49,9 @@ PendingOp = Tuple
 PendingMap = Tuple[Tuple[int, PendingOp], ...]  # sorted (tid, op) pairs
 MonitorState = Tuple[AbsObj, PendingMap]
 StateSet = FrozenSet[MonitorState]
+
+#: Capacity of each monitor's ``(states, event)`` step memo.
+_MONITOR_MEMO_CAP = 1 << 15
 
 
 def _with_thread(pending: PendingMap, tid: int, op: PendingOp) -> PendingMap:
@@ -61,6 +75,7 @@ class SpecMonitor:
 
     def __init__(self, spec: OSpec):
         self.spec = spec
+        self._memo = BoundedCache(_MONITOR_MEMO_CAP)
 
     def initial(self, theta: Optional[AbsObj] = None) -> StateSet:
         if theta is None:
@@ -89,6 +104,13 @@ class SpecMonitor:
     def step(self, states: StateSet, event: Event) -> StateSet:
         """Consume one object event; empty result = violation."""
 
+        key = (states, event)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo.put(key, self._step(states, event))
+        return hit
+
+    def _step(self, states: StateSet, event: Event) -> StateSet:
         if isinstance(event, InvokeEvent):
             if event.method not in self.spec:
                 return frozenset()

@@ -145,7 +145,18 @@ def product_run_from(explorer: Explorer, monitor: SpecMonitor,
     histories = out.histories
 
     def advance(next_config, label, event):
-        if event is not None and event.is_object_event:
+        object_event = event is not None and event.is_object_event
+        if next_config is None:
+            # An abort ends the path; an object fault is a violation in
+            # its own right, reported before the monitor would read it
+            # as an empty Σ.
+            out.aborted = True
+            if object_event:
+                hist = label[1] + (event,)
+                histories.add(hist)
+                _violation(out, hist, "object code aborted")
+            return None
+        if object_event:
             states, hist = label
             states = monitor.step(states, event)
             hist = hist + (event,)
@@ -153,11 +164,6 @@ def product_run_from(explorer: Explorer, monitor: SpecMonitor,
             if not states:
                 _violation(out, hist, "history has no legal linearization")
             label = (states, hist)
-        if next_config is None:
-            out.aborted = True
-            if event is not None and event.is_object_event:
-                _violation(out, label[1], "object code aborted")
-            return None
         return label, (next_config, label[0])
 
     return search(frontier, node_budget, out, advance, limits.max_depth,

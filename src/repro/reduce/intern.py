@@ -1,13 +1,13 @@
-"""Hash-consing of configurations, thread states and stores.
+"""Hash-consing of configurations and thread states.
 
 ``Config``, ``ThreadState`` and ``Frame`` cache their hashes (one memo
 per object) and test equality identity-first; the interner maps every
-structurally-equal value to one canonical instance, so seen-set lookups
-during exploration hit the identity fast path instead of re-walking
-structures.  Successor configurations naturally share the unchanged
-thread states and stores of their parent; the interner adds the
-cross-path sharing — two different interleavings converging on equal
-components converge on the *same objects*.
+structurally-equal configuration and thread state to one canonical
+instance, so seen-set lookups during exploration hit the identity fast
+path instead of re-walking structures.  Successor configurations
+naturally share the unchanged thread states and stores of their parent;
+the interner adds the cross-path sharing — two different interleavings
+converging on equal components converge on the *same objects*.
 
 Purely an accelerator: interning never changes which configurations are
 distinct, only how fast we find out.
@@ -21,21 +21,11 @@ from typing import Dict
 class Interner:
     """Per-exploration tables of canonical instances."""
 
-    __slots__ = ("_configs", "_threads", "_stores", "hits", "misses")
+    __slots__ = ("_configs", "_threads")
 
     def __init__(self) -> None:
         self._configs: Dict[object, object] = {}
         self._threads: Dict[object, object] = {}
-        self._stores: Dict[object, object] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def store(self, store):
-        hit = self._stores.get(store)
-        if hit is not None:
-            return hit
-        self._stores[store] = store
-        return store
 
     def thread_state(self, tstate):
         hit = self._threads.get(tstate)
@@ -47,13 +37,6 @@ class Interner:
     def config(self, config):
         hit = self._configs.get(config)
         if hit is not None:
-            self.hits += 1
             return hit
-        self.misses += 1
         self._configs[config] = config
         return config
-
-    def sizes(self) -> dict:
-        return {"configs": len(self._configs),
-                "threads": len(self._threads),
-                "stores": len(self._stores)}

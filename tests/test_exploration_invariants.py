@@ -15,9 +15,10 @@ Three properties every engine relies on:
 * ``Limits`` means the same in every decider: the node budget and the
   depth rule are the one search core's
   (:mod:`repro.semantics.search`);
-* the step memos of the explorer and the witness runner are exact and
-  bounded: with them emptied (capacity 0, the uncached oracle) every
-  decider reports identical nodes, sets, counters and failure records;
+* the step memos of the explorer, the witness runner and the Σ monitor
+  are exact and bounded: with them emptied (capacity 0, the uncached
+  oracle) every decider reports identical nodes, sets, counters and
+  failure records;
 * the heap-shape memos (canonical forms, ownership closures) serve
   exactly what the direct, unmemoized calls compute.
 """
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.history.monitor as monitor_mod
 import repro.instrument.runner as runner_mod
 import repro.reduce.ownership as ownership_mod
 import repro.reduce.symmetry as symmetry_mod
@@ -38,7 +40,7 @@ from registry_probe import (
     witness_record,
 )
 from repro.algorithms import get_algorithm
-from repro.engine.random_walk import random_walk_instrumented
+from repro.engine.random_walk import random_walk_instrumented, random_walk_lin
 from repro.history.object_lin import check_program_linearizable
 from repro.instrument.runner import InstrumentedRunner, verify_instrumented
 from repro.memory.store import Store
@@ -256,13 +258,14 @@ EXPLORER_MEMOS = {"_step_memo": "_STEP_MEMO_CAP",
 
 
 def _set_memo_cap(monkeypatch, cap):
-    """Capacity of the explorer's memos and the witness step memo for
-    explorers and runs started after the call; 0 stores nothing, which
-    is the uncached oracle."""
+    """Capacity of the explorer's memos, the witness step memo and the
+    monitor's step memo for explorers, runs and monitors started after
+    the call; 0 stores nothing, which is the uncached oracle."""
 
     for const in EXPLORER_MEMOS.values():
         monkeypatch.setattr(scheduler_mod, const, cap)
     monkeypatch.setattr(runner_mod, "_STEP_MEMO_CAP", cap)
+    monkeypatch.setattr(monitor_mod, "_MONITOR_MEMO_CAP", cap)
 
 
 @pytest.mark.parametrize("name", probe_names())
@@ -294,6 +297,29 @@ def test_step_memo_keeps_the_seeded_random_walk(monkeypatch, name, seed):
     assert cached["ok"] == (name != RACY)
     _set_memo_cap(monkeypatch, 0)
     assert _walk_record(_runner(name), seed) == cached
+
+
+def _product_walk_record(name, seed):
+    alg = algorithm(name)
+    program = mgc_program(alg.impl, alg.workload.menu, threads=2,
+                          ops_per_thread=1)
+    result = random_walk_lin(program, alg.spec, alg.limits, walks=64,
+                             seed=seed)
+    return {"ok": result.ok, "nodes": result.nodes,
+            "bounded": result.bounded, "aborted": result.aborted,
+            "histories": sorted(map(repr, result.histories)),
+            "counterexample": repr(result.counterexample),
+            "reason": result.reason}
+
+
+@pytest.mark.parametrize("name", ["treiber", RACY])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_monitor_memo_keeps_the_seeded_product_walk(monkeypatch, name,
+                                                    seed):
+    cached = _product_walk_record(name, seed)
+    assert cached["ok"] == (name != RACY)
+    _set_memo_cap(monkeypatch, 0)
+    assert _product_walk_record(name, seed) == cached
 
 
 @pytest.mark.parametrize("history_complete", [False, True])

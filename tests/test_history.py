@@ -221,3 +221,25 @@ def test_monitor_agrees_with_def1_search(history):
     spec = register_spec()
     assert SpecMonitor(spec).accepts(history) == \
         is_linearizable_history(history, spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_histories())
+def test_monitor_memo_is_exact(history):
+    """A memoized monitor runs every history to the uncached monitor's
+    state set, and a repeated ``(Σ, event)`` returns the stored object."""
+
+    spec = register_spec()
+    memoized = SpecMonitor(spec)
+    uncached = SpecMonitor(spec)
+    uncached._memo.cap = 0
+    assert memoized.run(history) == uncached.run(history)
+    assert not uncached._memo
+    states = memoized.initial()
+    for event in history:
+        nxt = memoized.step(states, event)
+        assert memoized.step(states, event) is nxt
+        assert nxt == uncached.step(states, event)
+        if not nxt:
+            break
+        states = nxt

@@ -4,7 +4,9 @@ import pytest
 
 from repro.history import check_object_linearizable
 from repro.history.object_lin import maximal_histories
-from repro.semantics import Limits
+from repro.lang.builders import assign
+from repro.lang.program import MethodDef, ObjectImpl
+from repro.semantics import Limits, ObjAbortEvent
 
 from helpers import (
     atomic_counter_impl,
@@ -54,6 +56,34 @@ class TestDefinitionalEngine:
             racy_counter_impl(), counter_spec(), [("inc", 0)],
             threads=2, ops_per_thread=1, limits=LIMITS, definitional=True)
         assert not res.ok
+
+
+class TestObjectFault:
+    """An object fault is a violation of its own, reported the same way
+    whichever engine finds it (the monitor alone would read the abort
+    as an empty Σ and blame the history)."""
+
+    @staticmethod
+    def _faulty_inc():
+        # ``y`` is neither a local nor an object variable: every ``inc``
+        # faults inside the method.
+        return ObjectImpl({"inc": MethodDef("inc", "x", (), assign("y", 1))})
+
+    @pytest.mark.parametrize("engine", ["sequential", "random-walk"])
+    def test_product_engines_report_the_abort(self, engine):
+        res = check_object_linearizable(
+            self._faulty_inc(), counter_spec(), [("inc", 0)],
+            threads=2, ops_per_thread=1, limits=LIMITS, engine=engine)
+        assert not res.ok and res.aborted
+        assert res.reason == "object code aborted"
+        assert isinstance(res.counterexample[-1], ObjAbortEvent)
+        assert res.counterexample in res.histories
+
+    def test_definitional_engine_reports_the_abort(self):
+        res = check_object_linearizable(
+            self._faulty_inc(), counter_spec(), [("inc", 0)],
+            threads=2, ops_per_thread=1, limits=LIMITS, definitional=True)
+        assert not res.ok and res.aborted
 
 
 class TestRefMapSideCondition:
