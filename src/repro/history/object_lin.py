@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..lang.program import ObjectImpl, Program
 from ..memory.store import Store
-from ..semantics.events import Trace, format_trace
+from ..semantics.events import Trace, format_trace, trace_order
 from ..semantics.mgc import CallMenu, mgc_program
 from ..semantics.scheduler import Explorer, Limits, explore
 from ..semantics.search import Node, StopSearch, search
@@ -303,14 +303,16 @@ def check_program_linearizable_definitional(
 
 
 def maximal_histories(histories) -> Tuple[Trace, ...]:
-    """Histories that are not a strict prefix of another in the set.
+    """Histories that are not a strict prefix of another in the set,
+    longest first, in reverse :func:`~repro.semantics.events.trace_order`
+    (so the first failing one does not depend on ``PYTHONHASHSEED``).
 
     Assumes the input set is prefix-closed (as produced by the explorer).
     """
 
     non_maximal = {h[:-1] for h in histories if h}
     return tuple(sorted((h for h in histories if h not in non_maximal),
-                        key=len, reverse=True))
+                        key=trace_order, reverse=True))
 
 
 def check_object_linearizable(impl: ObjectImpl, spec: OSpec, menu: CallMenu,

@@ -22,7 +22,7 @@ from ..history.object_lin import ObjectLinResult, check_object_linearizable
 from ..lang.ast import Stmt
 from ..lang.program import ObjectImpl
 from ..memory.store import Store
-from ..semantics.events import Trace, format_trace
+from ..semantics.events import Trace, format_trace, trace_order
 from ..semantics.mgc import CallMenu, printing_client
 from ..semantics.scheduler import Limits
 from ..spec.gamma import OSpec
@@ -77,7 +77,7 @@ def check_clients_refinement(impl: ObjectImpl, spec: OSpec,
                            concrete_traces=len(conc.traces),
                            abstract_traces=len(abst.traces),
                            bounded=conc.bounded or abst.bounded)
-    for trace in sorted(conc.traces - abst.traces, key=len):
+    for trace in sorted(conc.traces - abst.traces, key=trace_order):
         out.ok = False
         out.missing = trace
         out.reason = "concrete observable trace has no abstract counterpart"

@@ -120,5 +120,18 @@ def thread_sub(trace: Iterable[Event], thread: int) -> Trace:
     return tuple(e for e in trace if e.thread == thread)
 
 
+def trace_order(trace: Trace) -> Tuple[int, Tuple[str, ...]]:
+    """A total order on traces that hashing cannot change: by length,
+    then by the events' rendered fields.
+
+    A set of traces iterates in hash order, and an invocation's hash
+    follows its method name's, which ``PYTHONHASHSEED`` varies; a trace
+    picked from a set (a counterexample, an unmatched trace) is picked
+    in this order instead.
+    """
+
+    return len(trace), tuple(map(repr, trace))
+
+
 def format_trace(trace: Iterable[Event]) -> str:
     return " :: ".join(str(e) for e in trace) or "ε"

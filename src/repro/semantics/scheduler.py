@@ -131,6 +131,10 @@ _SHAPE_MEMO_CAP = 1 << 16
 #: :meth:`Explorer._thread_successors`).
 _STEP_MEMO_CAP = 1 << 15
 
+#: Entries held by the per-explorer expansion memo (see
+#: :meth:`Explorer._expand`), which only the explore client fills.
+_EXPAND_MEMO_CAP = 1 << 13
+
 
 @dataclass
 class ExplorationResult:
@@ -313,6 +317,11 @@ class Explorer:
         # stores, never on the other threads: memoized on exactly those
         # (see :meth:`_thread_successors`).
         self._step_memo = BoundedCache(_STEP_MEMO_CAP)
+        # A node's expansion depends only on its configuration and the
+        # reduction context, not on its label: the explore client, which
+        # reaches one configuration under many (history, trace) labels,
+        # replays it (see :meth:`_expand`).
+        self._expand_memo = BoundedCache(_EXPAND_MEMO_CAP)
 
         # Sleep-set POR: independence is decided *only* on the static
         # footprint templates of control heads (see
@@ -593,12 +602,57 @@ class Explorer:
         return search(frontier, node_budget, result, advance,
                       self.limits.max_depth, explorer=self,
                       pinned=_label_threads,
-                      terminal=result.terminal_configs.add)
+                      terminal=result.terminal_configs.add,
+                      expand_memo=self._expand_memo)
 
     def _expand(self, config: Config, full: bool = False,
                 sleep: FrozenSet[int] = NO_SLEEP,
-                tsym_k: Optional[int] = None
-                ) -> List[Tuple[Optional[Config], Optional[Event]]]:
+                tsym_k: Optional[int] = None,
+                memo: Optional[BoundedCache] = None
+                ) -> Sequence[Tuple[Optional[Config], Optional[Event]]]:
+        """:meth:`_successors` of ``config``, replayed from ``memo``.
+
+        An expansion reads nothing but ``(config, full, sleep, tsym_k)``
+        and the explorer's fixed policy, so ``memo`` is keyed on exactly
+        these.  It stores the successors, their sleep sets, the
+        ``last_expand_reduced`` / ``_last_pruned`` / ``_last_slept``
+        record and the ``sym_merged`` / ``tsym_merged`` deltas; a hit
+        restores the record and re-applies every counter delta, so the
+        counters, the sleep-wake re-expansion and the cycle-proviso
+        rollback are those of a fresh expansion.  An expansion that
+        noted a new diagnostic (or raised) is not stored: it runs again
+        on the next visit.
+        """
+
+        if memo is None:
+            return self._successors(config, full, sleep, tsym_k)
+        key = (config, full, sleep, tsym_k)
+        hit = memo.get(key)
+        if hit is None:
+            noted = len(self.diagnostics)
+            merged, tmerged = self.sym_merged, self.tsym_merged
+            out = tuple(self._successors(config, full, sleep, tsym_k))
+            if len(self.diagnostics) == noted:
+                sleeps = self._succ_sleeps
+                memo.put(key, (
+                    out, None if sleeps is None else tuple(sleeps),
+                    self.last_expand_reduced, self._last_pruned,
+                    self._last_slept, self.sym_merged - merged,
+                    self.tsym_merged - tmerged))
+            return out
+        (out, self._succ_sleeps, self.last_expand_reduced, pruned, slept,
+         merged, tmerged) = hit
+        self._last_pruned = pruned
+        self._last_slept = slept
+        self.por_pruned += pruned
+        self.sleep_skipped += slept
+        self.sym_merged += merged
+        self.tsym_merged += tmerged
+        return out
+
+    def _successors(self, config: Config, full: bool,
+                    sleep: FrozenSet[int], tsym_k: Optional[int]
+                    ) -> List[Tuple[Optional[Config], Optional[Event]]]:
         """All successor (configuration, event) pairs of ``config``.
 
         With partial-order reduction active (and ``full`` false), if some

@@ -13,7 +13,13 @@ It owns
 * spill/resume: the nodes left when the budget runs out are returned;
 * diagnostics, elapsed time and the dedup counters on the result, and
   the ``expanded_keys`` collection the parallel driver digests;
-* early stop.
+* early stop;
+* the replay of repeated expansions: a client whose labels reach one
+  configuration many times (explore, keyed on history and trace) hands
+  in an ``expand_memo``, and a node whose configuration and reduction
+  context were expanded before replays the stored successors, sleep
+  sets and counter deltas.  The Def-2 product passes none: a memo
+  there cost peak memory and saved no time when it was sized.
 
 A client supplies how a successor's event advances its *label* (the
 part of a node beyond the configuration: history and trace, monitor
@@ -85,7 +91,8 @@ def search(frontier: Sequence[Node], node_budget: int, result,
            terminal: Optional[Callable] = None,
            cut: Optional[Callable] = None,
            done: Optional[Callable] = None,
-           diagnostics: Optional[List[str]] = None) -> List[Node]:
+           diagnostics: Optional[List[str]] = None,
+           expand_memo: Optional[BoundedCache] = None) -> List[Node]:
     """Expand up to ``node_budget`` nodes from ``frontier``.
 
     Mutates ``result`` in place — ``nodes``, ``bounded``,
@@ -112,6 +119,8 @@ def search(frontier: Sequence[Node], node_budget: int, result,
     are dropped; ``done()`` is asked after every node whether to stop.
     Transition cuts the expander appends to ``diagnostics`` (the
     explorer's own list by default) mark the result bounded.
+    ``expand_memo`` is handed to every ``explorer._expand`` call (see
+    :meth:`~repro.semantics.scheduler.Explorer._expand`).
     """
 
     if explorer is not None:
@@ -162,7 +171,8 @@ def search(frontier: Sequence[Node], node_budget: int, result,
                 sym_snap = explorer.sym_merged
                 tsym_snap = explorer.tsym_merged
                 successors = explorer._expand(config, sleep=sleep,
-                                              tsym_k=tsym_k)
+                                              tsym_k=tsym_k,
+                                              memo=expand_memo)
                 succ_sleeps = explorer._succ_sleeps
                 reduced = explorer.last_expand_reduced
                 if not successors and explorer._last_slept:
@@ -173,7 +183,8 @@ def search(frontier: Sequence[Node], node_budget: int, result,
                     explorer.sleep_skipped -= explorer._last_slept
                     explorer.sym_merged = sym_snap
                     explorer.tsym_merged = tsym_snap
-                    successors = explorer._expand(config, tsym_k=tsym_k)
+                    successors = explorer._expand(config, tsym_k=tsym_k,
+                                                  memo=expand_memo)
                     succ_sleeps = explorer._succ_sleeps
                     reduced = explorer.last_expand_reduced
             if not successors:
@@ -224,8 +235,9 @@ def search(frontier: Sequence[Node], node_budget: int, result,
                         explorer.sleep_skipped -= explorer._last_slept
                         explorer.sym_merged = sym_snap
                         explorer.tsym_merged = tsym_snap
-                        successors = explorer._expand(config, full=True,
-                                                      tsym_k=tsym_k)
+                        successors = explorer._expand(
+                            config, full=True, tsym_k=tsym_k,
+                            memo=expand_memo)
                         succ_sleeps = explorer._succ_sleeps
                         reduced = False
                         continue

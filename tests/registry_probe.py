@@ -5,6 +5,9 @@ Sec-2.4 racy counter, at 2 threads x 1 operation, the probe runs
 
 * the explorer, on the compiled tables and on the interpreter;
 * the Def-2 product (``check_program_linearizable``);
+* the definitional Def-2 engine (collected histories, each checked by
+  the Def-1 search), whose counterexample is the first failing maximal
+  history in a hash-independent order;
 * Def-3 refinement with printing clients (its concrete exploration and
   the verdict);
 * the Fig-11 witness, with and without complete histories;
@@ -33,7 +36,10 @@ from repro.algorithms.counter_nonatomic import (
     racy_counter,
 )
 from repro.algorithms.specs import counter_spec
-from repro.history.object_lin import check_program_linearizable
+from repro.history.object_lin import (
+    check_program_linearizable,
+    check_program_linearizable_definitional,
+)
 from repro.instrument.runner import InstrumentedRunner
 from repro.lang.program import Program
 from repro.refinement.contextual import check_clients_refinement
@@ -104,6 +110,12 @@ def probe_one(name: str) -> dict:
     out["product"] = {**_search(product, product.nodes), "ok": product.ok,
                       "histories": digest(product.histories),
                       "counterexample": repr(product.counterexample)}
+    definitional = check_program_linearizable_definitional(
+        program, alg.spec, alg.limits)
+    out["definitional"] = {
+        "ok": definitional.ok, "reason": definitional.reason,
+        "checked": definitional.histories_checked,
+        "counterexample": repr(definitional.counterexample)}
 
     clients = tuple(printing_client(menu, OPS, prefix=f"t{t}")
                     for t in range(1, THREADS + 1))

@@ -16,7 +16,8 @@ compiler:
 * exhausting ``ATOMIC_LOOP_FUEL`` raises :class:`AtomicLoopDivergence`
   (a ``SemanticsError`` that is also a ``BoundExceeded``) and surfaces
   as an exploration diagnostic instead of silently truncating the state
-  space — in both semantics modes and in the abstract explorer;
+  space — in both semantics modes and in the abstract explorer, and
+  whether or not the explorer replays repeated expansions;
 * ``memo_key`` materialises generator ``extra``s (hash by contents, not
   by exhausted-object repr) and rejects strings and non-iterables loudly.
 """
@@ -26,6 +27,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.refinement.observable as observable_mod
+import repro.semantics.scheduler as scheduler_mod
 from repro.algorithms import algorithm_names, get_algorithm
 from repro.engine import EngineSpec, MemoCache, memo_key, resolve_engine
 from repro.engine.api import ENV_ENGINE
@@ -58,9 +61,11 @@ from repro.lang.builders import (
     while_true,
 )
 from repro.lang.parser import parse_method
+from repro.refinement.contextual import check_clients_refinement
 from repro.semantics.abstract import AbstractExplorer, AbstractProgram
-from repro.semantics.mgc import mgc_program
+from repro.semantics.mgc import mgc_program, printing_client
 from repro.semantics.scheduler import Explorer, Limits, explore
+from repro.spec import OSpec, abs_obj, deterministic
 
 from .helpers import counter_spec
 
@@ -364,6 +369,66 @@ def test_fuel_exhaustion_surfaces_as_diagnostic(semantics):
     # The divergent atomic block contributes no transition at all: the
     # run stops at the invocation, with no completed history.
     assert all(len(h) <= 1 for h in result.histories)
+
+
+_SPIN_MENU = (("spin", 0),)
+
+
+def _spin_spec():
+    return OSpec({"spin": deterministic("spin", lambda _, th: (0, th))},
+                 abs_obj(x=0), name="spinner")
+
+
+def _divergent_runs(monkeypatch):
+    """The divergent object explored directly and through Def-3
+    refinement, at two threads (so diverging nodes repeat under
+    different labels): diagnostics, bounds and trace sets."""
+
+    impl = _divergent_impl()
+    explored = explore(mgc_program(impl, _SPIN_MENU, threads=2,
+                                   ops_per_thread=1))
+    concrete = []
+    tap = observable_mod.explore
+
+    def tapped(*args, **kwargs):
+        concrete.append(tap(*args, **kwargs))
+        return concrete[-1]
+
+    monkeypatch.setattr(observable_mod, "explore", tapped)
+    clients = tuple(printing_client(_SPIN_MENU, 1, prefix=f"t{t}")
+                    for t in (1, 2))
+    refines = check_clients_refinement(impl, _spin_spec(), clients,
+                                       private_client_vars=True)
+    monkeypatch.setattr(observable_mod, "explore", tap)
+    (concrete,) = concrete
+    return [(r.diagnostics, r.bounded, r.nodes, r.histories, r.observables)
+            for r in (explored, concrete)] + [
+        (refines.ok, refines.bounded, refines.missing,
+         refines.concrete_traces)]
+
+
+def test_fuel_diagnostics_survive_expansion_replay(monkeypatch):
+    replayed = _divergent_runs(monkeypatch)
+    for diagnostics, bounded, *_ in replayed[:2]:
+        assert diagnostics and "fuel" in diagnostics[0] and bounded
+    assert replayed[2][:2] == (True, True)
+    monkeypatch.setattr(scheduler_mod, "_EXPAND_MEMO_CAP", 0)
+    assert _divergent_runs(monkeypatch) == replayed
+
+
+def test_expansion_noting_a_diagnostic_is_not_memoized():
+    explorer = Explorer(mgc_program(_divergent_impl(), _SPIN_MENU,
+                                    threads=1, ops_per_thread=1))
+    memo = explorer._expand_memo
+    start = explorer.start_nodes()[0][0]
+    ((invoked, event),) = explorer._expand(start, memo=memo)
+    assert event.is_invocation and len(memo) == 1
+    # The atomic loop diverges: the first expansion notes it and is
+    # not stored, the next one notes nothing new and is.
+    assert explorer._expand(invoked, memo=memo) == ()
+    assert len(explorer.diagnostics) == 1 and len(memo) == 1
+    assert explorer._expand(invoked, memo=memo) == ()
+    assert len(explorer.diagnostics) == 1 and len(memo) == 2
 
 
 def test_fuel_exhaustion_surfaces_in_abstract_explorer():

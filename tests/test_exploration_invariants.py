@@ -20,7 +20,9 @@ Three properties every engine relies on:
   oracle) every decider reports identical nodes, sets, counters and
   failure records;
 * the heap-shape memos (canonical forms, ownership closures) serve
-  exactly what the direct, unmemoized calls compute.
+  exactly what the direct, unmemoized calls compute;
+* the expansion memo replays exactly (observables, nodes, dedup and
+  reduction counters) and only the explore client fills it.
 """
 
 import pytest
@@ -31,8 +33,10 @@ import repro.history.monitor as monitor_mod
 import repro.instrument.runner as runner_mod
 import repro.reduce.ownership as ownership_mod
 import repro.reduce.symmetry as symmetry_mod
+import repro.refinement.observable as observable_mod
 import repro.semantics.scheduler as scheduler_mod
 from registry_probe import (
+    COUNTERS,
     RACY,
     algorithm,
     probe_names,
@@ -41,7 +45,7 @@ from registry_probe import (
 )
 from repro.algorithms import get_algorithm
 from repro.engine.random_walk import random_walk_instrumented, random_walk_lin
-from repro.history.object_lin import check_program_linearizable
+from repro.history.object_lin import ProductSearch, check_program_linearizable
 from repro.instrument.runner import InstrumentedRunner, verify_instrumented
 from repro.memory.store import Store
 from repro.reduce import SYM_BASE, SYM_STRIDE
@@ -254,7 +258,8 @@ def test_deciders_share_one_depth_rule(deciders):
 EXPLORER_MEMOS = {"_step_memo": "_STEP_MEMO_CAP",
                   "_owner_cache": "_OWNER_CACHE_CAP",
                   "_closure_memo": "_CLOSURE_MEMO_CAP",
-                  "_shape_memo": "_SHAPE_MEMO_CAP"}
+                  "_shape_memo": "_SHAPE_MEMO_CAP",
+                  "_expand_memo": "_EXPAND_MEMO_CAP"}
 
 
 def _set_memo_cap(monkeypatch, cap):
@@ -375,6 +380,73 @@ def test_small_memo_capacity_bounds_the_memos(monkeypatch):
     runner = _runner()
     assert witness_record(runner.run()) == witness
     assert 0 < len(runner._step_memo) <= 8
+
+
+# ---------------------------------------------------------------------------
+# The expansion memo: exact replay, explore client only
+# ---------------------------------------------------------------------------
+
+
+def _refinement_record(monkeypatch, name, threads):
+    """Def-3 refinement of ``name`` with printing clients: the verdict,
+    and the concrete exploration's observables and counters, plus how
+    many of its expansions were computed rather than replayed."""
+
+    alg = algorithm(name)
+    clients = tuple(printing_client(alg.workload.menu, 1, prefix=f"t{t}")
+                    for t in range(1, threads + 1))
+    calls = {"expand": 0, "fresh": 0}
+    explored = []
+    expand, successors = Explorer._expand, Explorer._successors
+    tap = observable_mod.explore
+
+    def counted_expand(self, *args, **kwargs):
+        calls["expand"] += 1
+        return expand(self, *args, **kwargs)
+
+    def counted_successors(self, *args):
+        calls["fresh"] += 1
+        return successors(self, *args)
+
+    def tapped(*args, **kwargs):
+        explored.append(tap(*args, **kwargs))
+        return explored[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Explorer, "_expand", counted_expand)
+        patch.setattr(Explorer, "_successors", counted_successors)
+        patch.setattr(observable_mod, "explore", tapped)
+        refines = check_clients_refinement(alg.impl, alg.spec, clients,
+                                           alg.limits,
+                                           private_client_vars=True)
+    (result,) = explored
+    record = {"ok": refines.ok, "missing": refines.missing,
+              "bounded": refines.bounded, "observables": result.observables,
+              "nodes": result.nodes,
+              **{k: getattr(result, k) for k in COUNTERS}}
+    return record, calls
+
+
+@pytest.mark.parametrize("name,threads",
+                         [("treiber", 2), ("hsy_stack", 2), (RACY, 3)])
+def test_expansion_memo_is_exact_on_refinement(monkeypatch, name, threads):
+    replayed, calls = _refinement_record(monkeypatch, name, threads)
+    assert replayed["ok"] == (name != RACY)
+    # Some configuration was reached under two labels and replayed.
+    assert calls["fresh"] < calls["expand"], calls
+    monkeypatch.setattr(scheduler_mod, "_EXPAND_MEMO_CAP", 0)
+    uncached, calls = _refinement_record(monkeypatch, name, threads)
+    assert calls["fresh"] == calls["expand"]
+    assert uncached == replayed
+
+
+def test_product_never_fills_the_expansion_memo():
+    alg = get_algorithm("treiber")
+    search = ProductSearch(_program("treiber"), alg.spec, alg.limits)
+    result = search.run()
+    assert result.ok and result.nodes > 0
+    assert len(search.explorer._step_memo) > 0
+    assert len(search.explorer._expand_memo) == 0
 
 
 # ---------------------------------------------------------------------------
