@@ -172,11 +172,15 @@ def random_walk_instrumented(runner, walks: int = 256, seed: int = 0):
         config, hist, depth = start, (), 0
         while True:
             result.nodes += 1
-            if depth >= limits.max_depth:
-                result.bounded = True
-                break
             before = len(result.failures)
             successors = runner._expand(config, hist, result)
+            if successors and depth >= limits.max_depth:
+                # The depth rule of the exhaustive search: a node at the
+                # cap is expanded only to tell a terminal node from a
+                # cut one, and the cut transitions' failures are dropped.
+                result.bounded = True
+                del result.failures[before:]
+                break
             if len(result.failures) > before and \
                     len(result.failures) >= runner.max_failures:
                 result.ok = False

@@ -44,6 +44,7 @@ from ..errors import BoundExceeded, CompileUnsupported, InstrumentationError
 from ..lang.ast import Atomic, If, Noret, Return, Seq, Stmt, While
 from ..lang.program import MethodDef, ObjectImpl
 from ..memory.store import Store
+from ..reduce.intern import Interner
 from ..semantics.eval import EvalError, eval_bool_in, eval_in
 from ..semantics.events import InvokeEvent, ReturnEvent, Trace
 from ..semantics.mgc import CallMenu
@@ -95,6 +96,15 @@ _ABORTED = (None, None, None, None)
 #: Entries held by a runner's step memo (see
 #: :meth:`InstrumentedRunner._expand`).
 _STEP_MEMO_CAP = 1 << 15
+
+#: Whether a run hash-conses the thread entries, σ_o and Δ its step
+#: rules produce (see :meth:`InstrumentedRunner.initial_config`); off,
+#: the run is the uninterned oracle.
+_INTERN = True
+
+
+def _same(obj):
+    return obj
 
 
 @dataclass(frozen=True)
@@ -255,6 +265,9 @@ class InstrumentedRunner:
         #: Thread-local successors whose obligations held, for the
         #: current run (see :meth:`_expand`).
         self._step_memo = BoundedCache(_STEP_MEMO_CAP)
+        #: The current run's canonical instance of a thread entry, σ_o
+        #: or Δ (the identity when interning is off).
+        self._intern: Callable = _same
 
         # Lowered once per object, like the Explorer's programs.  The
         # tables are closures: parallel workers inherit them through
@@ -342,10 +355,18 @@ class InstrumentedRunner:
         obligation (``φ(σ_o) = θ``, ``I`` on the initial Δ) already fails
         — the failure is recorded in ``result``.  Every engine starts a
         run here, so this also empties the set of checked transitions
-        and the step memo."""
+        and the step memo, and starts a fresh intern table: every
+        thread entry, σ_o and Δ a step rule produces is replaced by its
+        canonical instance before it reaches a check key, the step memo
+        or a configuration, so equal components reached along different
+        interleavings are one object and the seen-set, step-memo and
+        checked-transition lookups compare them by identity.  Keys stay
+        structural (the parallel driver digests them across
+        processes)."""
 
         self._checked = set()
         self._step_memo = BoundedCache(_STEP_MEMO_CAP)
+        intern = self._intern = Interner().value if _INTERN else _same
         spec = self.iobj.spec
         if self.iobj.phi is not None:
             theta = self.iobj.phi.of(Store(self.iobj.initial_memory))
@@ -354,9 +375,9 @@ class InstrumentedRunner:
                     "refmap", f"φ(σ_o) = {theta!r} differs from Γ's initial "
                               f"abstract object {spec.initial!r}", ()))
                 return None
-        sigma_o = Store(self.iobj.initial_memory)
-        delta0 = singleton_delta(Store(), spec.initial)
-        start = IConfig(tuple((_IDLE, self.ops)
+        sigma_o = intern(Store(self.iobj.initial_memory))
+        delta0 = intern(singleton_delta(Store(), spec.initial))
+        start = IConfig(tuple(intern((_IDLE, self.ops))
                               for _ in range(self.n_threads)),
                         sigma_o, delta0)
         if not self._check_shared(result, None, (sigma_o, delta0), 0, ()):
@@ -485,6 +506,7 @@ class InstrumentedRunner:
 
     def _invoke(self, tid: int, ops_left: int, sigma_o: Store,
                 delta: Delta, hist: Trace, result: InstrumentedRunResult):
+        intern = self._intern
         out = []
         for method, arg in self.menu:
             mdef = self.iobj.methods[method]
@@ -496,7 +518,7 @@ class InstrumentedRunner:
                 control = self.compiled.method_entries[method]
             else:
                 control = push_control(mdef.body, (_NORET,))
-            delta2 = delta_add_thread(delta, tid, op_of(method, arg))
+            delta2 = intern(delta_add_thread(delta, tid, op_of(method, arg)))
             event = InvokeEvent(tid, method, arg)
             if not self._check_shared(result, (sigma_o, delta),
                                       (sigma_o, delta2), tid,
@@ -505,7 +527,8 @@ class InstrumentedRunner:
                 continue
             for ts, _sc in self._visible(ThreadState(control, frame),
                                          sigma_o):
-                out.append(((ts, ops_left - 1), sigma_o, delta2, event))
+                out.append((intern((ts, ops_left - 1)), sigma_o, delta2,
+                            event))
         return out
 
     def _step(self, tid: int, tstate: ThreadState, ops_left: int,
@@ -644,19 +667,27 @@ class InstrumentedRunner:
                 f"{frame.method} but {len(bad)} speculation(s) disagree "
                 f"(e.g. {bad[0][0].get(tid)!r})", new_hist))
             return [(None, None, None, event)]
-        delta2 = delta_remove_thread(delta, tid)
+        intern = self._intern
+        delta2 = intern(delta_remove_thread(delta, tid))
         if not self._check_shared(result, (sigma_o, delta),
                                   (sigma_o, delta2), tid, new_hist):
             return [(None, None, None, event)]
-        return [((_IDLE, ops_left), sigma_o, delta2, event)]
+        return [(intern((_IDLE, ops_left)), sigma_o, delta2, event)]
 
     def _finish_step(self, tid: int, tstate: ThreadState, ops_left: int,
                      before: SharedView, sigma_o: Store, delta: Delta,
                      hist: Trace, result: InstrumentedRunResult):
+        intern = self._intern
+        # A step that touches neither σ_o nor Δ hands back the (already
+        # canonical) objects of ``before``.
+        if sigma_o is not before[0]:
+            sigma_o = intern(sigma_o)
+        if delta is not before[1]:
+            delta = intern(delta)
         if not self._check_shared(result, before, (sigma_o, delta), tid,
                                   hist):
             return [_ABORTED]
-        return [((ts, ops_left), sigma_o, delta, None)
+        return [(intern((ts, ops_left)), sigma_o, delta, None)
                 for ts, _sc in self._visible(tstate, sigma_o)]
 
 

@@ -10,7 +10,8 @@ Sec-2.4 racy counter, at 2 threads x 1 operation, the probe runs
   history in a hash-independent order;
 * Def-3 refinement with printing clients (its concrete exploration and
   the verdict);
-* the Fig-11 witness, with and without complete histories;
+* the Fig-11 witness, with and without complete histories, and its
+  seeded random walk (64 walks, seed 0);
 
 and records node counts, digests of the history and observable sets,
 the reduction and dedup counters and the failure records.  Run as a
@@ -36,6 +37,7 @@ from repro.algorithms.counter_nonatomic import (
     racy_counter,
 )
 from repro.algorithms.specs import counter_spec
+from repro.engine.random_walk import random_walk_instrumented
 from repro.history.object_lin import (
     check_program_linearizable,
     check_program_linearizable_definitional,
@@ -132,6 +134,10 @@ def probe_one(name: str) -> dict:
             alg.invariant, alg.guarantee, history_complete=complete)
         key = "witness-complete" if complete else "witness"
         out[key] = witness_record(runner.run())
+    runner = InstrumentedRunner(alg.instrumented, menu, THREADS, OPS,
+                                alg.limits, alg.invariant, alg.guarantee)
+    out["witness-walk"] = witness_record(
+        random_walk_instrumented(runner, walks=64, seed=0))
     return out
 
 

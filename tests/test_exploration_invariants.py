@@ -17,8 +17,10 @@ Three properties every engine relies on:
   (:mod:`repro.semantics.search`);
 * the step memos of the explorer, the witness runner and the Σ monitor
   are exact and bounded: with them emptied (capacity 0, the uncached
-  oracle) every decider reports identical nodes, sets, counters and
-  failure records;
+  oracle, which also runs the witness uninterned) every decider reports
+  identical nodes, sets, counters and failure records;
+* the witness runner's interning shares: equal components of its
+  configurations are one object;
 * the heap-shape memos (canonical forms, ownership closures) serve
   exactly what the direct, unmemoized calls compute;
 * the expansion memo replays exactly (observables, nodes, dedup and
@@ -249,6 +251,52 @@ def test_deciders_share_one_depth_rule(deciders):
     assert depths["explore"] > depths["abstract"] == 2
 
 
+def _treiber_witness(limits):
+    alg = get_algorithm("treiber")
+    return InstrumentedRunner(alg.instrumented, alg.workload.menu, 1, 1,
+                              limits, alg.invariant, alg.guarantee)
+
+
+def test_random_walk_witness_keeps_the_depth_rule():
+    """The sampled witness applies the search's depth rule: a terminal
+    node at the cap is not a cut, so at the longest path's depth every
+    walk is complete, one step shorter every walk is cut."""
+
+    def exact(limits):
+        r = _treiber_witness(limits).run_sequential()
+        return r.nodes, r.bounded
+
+    longest = _smallest_complete_depth(exact)
+    for depth in (longest - 1, longest, longest + 1):
+        limits = Limits(max_depth=depth)
+        walk = random_walk_instrumented(_treiber_witness(limits),
+                                        walks=32, seed=0)
+        assert walk.bounded == exact(limits)[1] == (depth < longest)
+
+
+def test_random_walk_witness_drops_failures_beyond_the_cap():
+    """Failures the capped expansion records lie beyond the cap: the
+    walk drops them, as the exhaustive search's cut does."""
+
+    alg = algorithm(RACY)
+
+    def run(limits, walk):
+        runner = InstrumentedRunner(alg.instrumented, alg.workload.menu, 2,
+                                    1, limits, max_failures=64)
+        if walk:
+            return random_walk_instrumented(runner, walks=64, seed=0)
+        return runner.run_sequential()
+
+    depth = 0
+    while run(Limits(max_depth=depth), False).ok:
+        depth += 1
+    # At the shallowest failing depth the failure is found, one step
+    # shallower it lies beyond the cap and is dropped.
+    capped = run(Limits(max_depth=depth - 1), True)
+    assert capped.ok and not capped.failures and capped.bounded
+    assert not run(Limits(max_depth=depth), True).ok
+
+
 # ---------------------------------------------------------------------------
 # The step memos: exact and bounded
 # ---------------------------------------------------------------------------
@@ -265,11 +313,13 @@ EXPLORER_MEMOS = {"_step_memo": "_STEP_MEMO_CAP",
 def _set_memo_cap(monkeypatch, cap):
     """Capacity of the explorer's memos, the witness step memo and the
     monitor's step memo for explorers, runs and monitors started after
-    the call; 0 stores nothing, which is the uncached oracle."""
+    the call; 0 stores nothing and runs the witness uninterned, which is
+    the uncached oracle."""
 
     for const in EXPLORER_MEMOS.values():
         monkeypatch.setattr(scheduler_mod, const, cap)
     monkeypatch.setattr(runner_mod, "_STEP_MEMO_CAP", cap)
+    monkeypatch.setattr(runner_mod, "_INTERN", cap > 0)
     monkeypatch.setattr(monitor_mod, "_MONITOR_MEMO_CAP", cap)
 
 
@@ -380,6 +430,41 @@ def test_small_memo_capacity_bounds_the_memos(monkeypatch):
     runner = _runner()
     assert witness_record(runner.run()) == witness
     assert 0 < len(runner._step_memo) <= 8
+
+
+def _witness_components():
+    """The thread entries, σ_o and Δ of every configuration an HSY 2x1
+    witness run expanded, with the run's node count."""
+
+    runner = _runner()
+    result = runner.new_result(expanded_keys=[])
+    start = runner.initial_config(result)
+    runner.run_from([runner.root(start)], runner.limits.max_nodes, result)
+    configs = result.expanded_keys
+    return result.nodes, {
+        "entries": [e for c in configs for e in c.threads],
+        "sigma_o": [c.sigma_o for c in configs],
+        "delta": [c.delta for c in configs]}
+
+
+def _unshared(objs) -> int:
+    """How many of ``objs`` equal an earlier one without being it."""
+
+    canonical = {}
+    return sum(canonical.setdefault(o, o) is not o for o in objs)
+
+
+def test_witness_interning_shares_equal_components(monkeypatch):
+    nodes, parts = _witness_components()
+    assert nodes == 40297
+    assert {k: _unshared(v) for k, v in parts.items()} == \
+        dict.fromkeys(parts, 0)
+    # The oracle really is uninterned: without the table, interleavings
+    # converging on equal components build distinct objects.
+    _set_memo_cap(monkeypatch, 0)
+    nodes, parts = _witness_components()
+    assert nodes == 40297
+    assert all(_unshared(v) > 0 for v in parts.values())
 
 
 # ---------------------------------------------------------------------------
