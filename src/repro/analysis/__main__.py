@@ -12,7 +12,9 @@ Two subcommands:
   (:mod:`repro.analysis.lp_infer`) over the registry (hand +
   synthesized entries) plus the racy-counter negative control.
   ``--baseline PATH`` pins the inferred discipline and LP sites
-  (``lp_baseline.json``) and exits non-zero on any diff.
+  (``lp_baseline.json``) and exits non-zero on any diff; with named
+  targets only those are compared, and the other baseline entries are
+  reported as not re-checked.
 
 A bare invocation (no subcommand) is a backward-compatible alias for
 ``lint`` with the pre-subcommand semantics: resolved baseline entries
@@ -177,7 +179,10 @@ def run_infer(argv: List[str], prog: str) -> int:
         with open(args.baseline) as fh:
             baseline: Dict[str, dict] = json.load(fh)
         for name in sorted(set(baseline) | set(current)):
-            if name not in current:
+            if name not in current and args.names:
+                print(f"baseline target {name} not inferred; its sites "
+                      f"were not re-checked")
+            elif name not in current:
                 print(f"baseline target {name} not inferred")
                 status = 1
             elif name not in baseline:

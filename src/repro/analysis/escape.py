@@ -54,6 +54,7 @@ from ..lang.ast import (
     UnOp,
     Var,
 )
+from ..lang.walk import iter_stmts
 from .cfg import ASSUME, CFG, Edge, build_cfg
 from .dataflow import solve_lattice
 
@@ -212,37 +213,20 @@ def _classify_addr(addr: Expr, env: Dict[str, AbsVal],
 def _client_call_args(clients) -> Dict[str, AbsVal]:
     """Literal arguments each method receives from the clients."""
 
-    from ..lang.ast import Atomic, If, Seq, While
-
     args: Dict[str, AbsVal] = {}
-
-    def walk(stmt) -> None:
-        if isinstance(stmt, Call):
+    for client in clients:
+        for stmt in iter_stmts(client):
+            if not isinstance(stmt, Call):
+                continue
             cur = args.get(stmt.method, frozenset())
             if stmt.arg is None:
-                val: AbsVal = _join_val(cur, frozenset({0}))
+                args[stmt.method] = _join_val(cur, frozenset({0}))
             elif isinstance(stmt.arg, Const) \
                     and isinstance(stmt.arg.value, int):
-                val = _join_val(cur, frozenset({stmt.arg.value}))
+                args[stmt.method] = _join_val(
+                    cur, frozenset({stmt.arg.value}))
             else:
-                val = None
-            if val is None:
                 args[stmt.method] = None
-            else:
-                args[stmt.method] = val
-        elif isinstance(stmt, Seq):
-            for sub in stmt.stmts:
-                walk(sub)
-        elif isinstance(stmt, If):
-            walk(stmt.then)
-            walk(stmt.els)
-        elif isinstance(stmt, While):
-            walk(stmt.body)
-        elif isinstance(stmt, Atomic):
-            walk(stmt.body)
-
-    for client in clients:
-        walk(client)
     return args
 
 

@@ -62,7 +62,6 @@ from ..lang.ast import (
     BoolExpr,
     Cmp,
     Const,
-    Dispose,
     Expr,
     If,
     Load,
@@ -73,10 +72,16 @@ from ..lang.ast import (
     Seq,
     Skip,
     Stmt,
-    Store,
     UnOp,
     Var,
     While,
+)
+from ..lang.walk import (
+    CID,
+    defined_vars,
+    iter_stmts,
+    method_locals,
+    stmt_exprs,
 )
 from .cfg import ASSUME, CFG, Edge, build_cfg
 from .dataflow import solve_disjunctive
@@ -84,9 +89,6 @@ from .diagnostics import Diagnostic
 
 #: Cap on bounded constant sets (matches the escape analysis).
 VAL_CAP = 8
-
-#: The reserved local bound to the calling thread's id.
-CID = "cid"
 
 AbsVal = Optional[FrozenSet[int]]  # None = TOP
 
@@ -375,40 +377,6 @@ def _classify_commit(assertion) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Ghost-code effects
-# ---------------------------------------------------------------------------
-
-
-def _ghost_writes(stmt: Stmt, out: Set[str]) -> None:
-    if isinstance(stmt, (Assign, Load, NondetChoice, Alloc)):
-        out.add(stmt.var)
-    elif isinstance(stmt, Seq):
-        for sub in stmt.stmts:
-            _ghost_writes(sub, out)
-    elif isinstance(stmt, (If,)):
-        _ghost_writes(stmt.then, out)
-        _ghost_writes(stmt.els, out)
-    elif isinstance(stmt, While):
-        _ghost_writes(stmt.body, out)
-    elif isinstance(stmt, Atomic):
-        _ghost_writes(stmt.body, out)
-    elif isinstance(stmt, Ghost):
-        _ghost_writes(stmt.stmt, out)
-
-
-def _ghost_loads(stmt: Stmt) -> bool:
-    if isinstance(stmt, Load):
-        return True
-    if isinstance(stmt, Seq):
-        return any(_ghost_loads(s) for s in stmt.stmts)
-    if isinstance(stmt, If):
-        return _ghost_loads(stmt.then) or _ghost_loads(stmt.els)
-    if isinstance(stmt, (While, Atomic)):
-        return _ghost_loads(stmt.body)
-    return False
-
-
-# ---------------------------------------------------------------------------
 # The per-method pass
 # ---------------------------------------------------------------------------
 
@@ -496,12 +464,10 @@ class _MethodLint:
                 lin = lin | frozenset(max(c, 1) for c in lin)
             return [Fact(fact.env, fact.sderiv, fact.eqs, lin, False)]
         if isinstance(stmt, Ghost):
-            writes: Set[str] = set()
-            _ghost_writes(stmt.stmt, writes)
-            from_shared = _ghost_loads(stmt.stmt)
-            env = _env(fact)
+            from_shared = any(isinstance(s, Load)
+                              for s in iter_stmts(stmt.stmt))
             out = fact
-            for var in writes:
+            for var in defined_vars(stmt.stmt):
                 out = _drop_var(out, var, _env(out), None, from_shared)
             return [out]
 
@@ -580,20 +546,9 @@ def _aux_flow_check(method: str, body: Stmt, sink: List[Diagnostic]) \
     """No ghost-written variable may be read by real (erased) code."""
 
     ghost_vars: Set[str] = set()
-
-    def collect(stmt: Stmt) -> None:
-        if isinstance(stmt, Ghost):
-            _ghost_writes(stmt.stmt, ghost_vars)
-        elif isinstance(stmt, Seq):
-            for sub in stmt.stmts:
-                collect(sub)
-        elif isinstance(stmt, If):
-            collect(stmt.then)
-            collect(stmt.els)
-        elif isinstance(stmt, (While, Atomic)):
-            collect(stmt.body)
-
-    collect(body)
+    for s in iter_stmts(body):
+        if isinstance(s, Ghost):
+            ghost_vars |= defined_vars(s.stmt)
     if not ghost_vars:
         return
 
@@ -637,95 +592,24 @@ def _aux_flow_check(method: str, body: Stmt, sink: List[Diagnostic]) \
         if isinstance(stmt, Atomic):
             walk(stmt.body)
             return
-        if isinstance(stmt, Assume):
-            flag(stmt.cond.free_vars(), str(stmt))
-            return
-        for expr in _stmt_exprs(stmt):
+        for expr in stmt_exprs(stmt):
             flag(expr.free_vars(), str(stmt))
 
     walk(body)
-
-
-def _stmt_exprs(stmt: Stmt) -> List[Expr]:
-    if isinstance(stmt, Assign):
-        return [stmt.expr]
-    if isinstance(stmt, Load):
-        return [stmt.addr]
-    if isinstance(stmt, Store):
-        return [stmt.addr, stmt.expr]
-    if isinstance(stmt, Alloc):
-        return list(stmt.inits)
-    if isinstance(stmt, Dispose):
-        return [stmt.addr]
-    if isinstance(stmt, NondetChoice):
-        return list(stmt.choices)
-    if isinstance(stmt, Return):
-        return [stmt.expr]
-    exprs = []
-    for attr in ("arg", "expr"):
-        val = getattr(stmt, attr, None)
-        if isinstance(val, Expr):
-            exprs.append(val)
-    return exprs
-
-
-def _object_is_helping(methods) -> bool:
-    found = [False]
-
-    def walk(stmt: Stmt) -> None:
-        if isinstance(stmt, (TryLinReadOnly,)):
-            found[0] = True
-        elif isinstance(stmt, (Lin, TryLin)) and not _is_cid(stmt.tid):
-            found[0] = True
-        elif isinstance(stmt, Seq):
-            for sub in stmt.stmts:
-                walk(sub)
-        elif isinstance(stmt, If):
-            walk(stmt.then)
-            walk(stmt.els)
-        elif isinstance(stmt, (While, Atomic)):
-            walk(stmt.body)
-        elif isinstance(stmt, Ghost):
-            walk(stmt.stmt)
-
-    for mdef in methods.values():
-        walk(mdef.body)
-    return found[0]
-
-
-def _method_locals(mdef) -> FrozenSet[str]:
-    """Declared locals + param + cid + every assigned variable that is
-    not a shared object variable (implicit locals)."""
-
-    names: Set[str] = set(mdef.locals) | {mdef.param, CID}
-
-    def walk(stmt: Stmt) -> None:
-        if isinstance(stmt, (Assign, Load, NondetChoice, Alloc)):
-            names.add(stmt.var)
-        elif isinstance(stmt, Seq):
-            for sub in stmt.stmts:
-                walk(sub)
-        elif isinstance(stmt, If):
-            walk(stmt.then)
-            walk(stmt.els)
-        elif isinstance(stmt, (While, Atomic)):
-            walk(stmt.body)
-        elif isinstance(stmt, Ghost):
-            walk(stmt.stmt)
-
-    walk(mdef.body)
-    return frozenset(names)
 
 
 def lint_instrumented(obj) -> List[Diagnostic]:
     """All lint diagnostics for one :class:`InstrumentedObject`."""
 
     shared = {k for k in obj.initial_memory if isinstance(k, str)}
-    helping = _object_is_helping(obj.methods)
+    helping = any(
+        isinstance(s, TryLinReadOnly)
+        or isinstance(s, (Lin, TryLin)) and not _is_cid(s.tid)
+        for mdef in obj.methods.values() for s in iter_stmts(mdef.body))
     sink: List[Diagnostic] = []
     seen: Set[tuple] = set()
     for mdef in obj.methods.values():
-        locals_ = _method_locals(mdef) - shared
+        locals_ = method_locals(mdef) - shared
         declared = frozenset(mdef.locals) - shared
         _MethodLint(mdef.name, mdef.body, locals_, mdef.param, declared,
                     helping, sink, seen).run()

@@ -52,6 +52,7 @@ from ..lang.ast import (
     Store,
     Var,
 )
+from ..lang.walk import method_locals
 from .cfg import ASSUME, CFG, Edge, build_cfg
 from .dataflow import solve_disjunctive
 from .diagnostics import Diagnostic
@@ -280,27 +281,6 @@ class _MethodRaces:
         return [fact]
 
 
-def _method_locals(mdef) -> Set[str]:
-    names: Set[str] = set(mdef.locals) | {mdef.param, "cid"}
-
-    from ..lang.ast import Atomic, If, Seq, While
-
-    def walk(stmt) -> None:
-        if isinstance(stmt, (Assign, Load, NondetChoice, Alloc)):
-            names.add(stmt.var)
-        elif isinstance(stmt, Seq):
-            for sub in stmt.stmts:
-                walk(sub)
-        elif isinstance(stmt, If):
-            walk(stmt.then)
-            walk(stmt.els)
-        elif isinstance(stmt, (While, Atomic)):
-            walk(stmt.body)
-
-    walk(mdef.body)
-    return names
-
-
 def lint_races(impl) -> List[Diagnostic]:
     """All race diagnostics for one plain :class:`ObjectImpl`."""
 
@@ -308,7 +288,7 @@ def lint_races(impl) -> List[Diagnostic]:
     sink: List[Diagnostic] = []
     seen: Set[tuple] = set()
     for mdef in impl.methods.values():
-        locals_ = frozenset(_method_locals(mdef) - shared)
+        locals_ = method_locals(mdef) - shared
         runner = _MethodRaces(mdef.name, locals_, sink, seen)
         cfg = build_cfg(mdef.body)
         init_env = {v: frozenset({0}) for v in mdef.locals

@@ -54,8 +54,6 @@ def _rebuild(s: Stmt, plan: Dict[Stmt, List[Action]]) -> Stmt:
             then = seq(*a.aux, then)
         for a in ops.pop("then-append", []):
             then = seq(then, *a.aux)
-        for a in ops.pop("else-prepend", []):
-            els = seq(*a.aux, els)
         for a in ops.pop("else-append", []):
             els = seq(els, *a.aux)
         new = If(s.cond, then, els)

@@ -42,7 +42,7 @@ must fit the sparse-allocator stride.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 from weakref import WeakKeyDictionary
 
 from ..lang.ast import (
@@ -75,6 +75,7 @@ from ..lang.ast import (
     Var,
     While,
 )
+from ..lang.walk import iter_stmts, stmt_vars
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,10 @@ class _Scan:
         self._fail("addr", f"non-offset address: {expr!r}")
 
     def stmt(self, s: Stmt) -> None:
-        if isinstance(s, (Skip, Noret)):
-            return
+        """One node; :func:`iter_stmts` visits the parts of compound ones."""
+
+        if isinstance(s, (Skip, Noret, Seq, If, While, Atomic, Assume)):
+            return  # guards only observe values
         if isinstance(s, Assign):
             self.value_expr(s.expr)
         elif isinstance(s, Load):
@@ -158,21 +161,9 @@ class _Scan:
         elif isinstance(s, Dispose):
             self.has_dispose = True
             self.addr_expr(s.addr)
-        elif isinstance(s, Assume):
-            pass  # guards only observe values
         elif isinstance(s, NondetChoice):
             for choice in s.choices:
                 self.value_expr(choice)
-        elif isinstance(s, Seq):
-            for sub in s.stmts:
-                self.stmt(sub)
-        elif isinstance(s, If):
-            self.stmt(s.then)
-            self.stmt(s.els)
-        elif isinstance(s, While):
-            self.stmt(s.body)
-        elif isinstance(s, Atomic):
-            self.stmt(s.body)
         elif isinstance(s, Return):
             self.value_expr(s.expr)
         elif isinstance(s, Call):
@@ -214,10 +205,11 @@ def scan_program(program, field_sensitive: bool = True) -> Eligibility:
     from ..reduce.symmetry import SYM_BASE, SYM_STRIDE
 
     scan = _Scan()
-    for client in program.clients:
-        scan.stmt(client)
-    for method in program.object_impl.methods.values():
-        scan.stmt(method.body)
+    bodies = [*program.clients,
+              *(m.body for m in program.object_impl.methods.values())]
+    for body in bodies:
+        for s in iter_stmts(body):
+            scan.stmt(s)
 
     por = scan.pure_moves and scan.offset_addrs
     reasons = list(scan.reasons)
@@ -320,70 +312,6 @@ class ThreadSymmetry:
     var_maps: Tuple[Dict[str, str], ...] = ()
     inv_maps: Tuple[Dict[str, str], ...] = ()
     node_tables: Tuple[Tuple[Stmt, ...], ...] = ()
-
-
-def _enum_nodes(stmt: Stmt) -> List[Stmt]:
-    """Pre-order enumeration of a statement tree's nodes."""
-
-    out: List[Stmt] = []
-    stack = [stmt]
-    while stack:
-        s = stack.pop()
-        out.append(s)
-        if isinstance(s, Seq):
-            stack.extend(reversed(s.stmts))
-        elif isinstance(s, If):
-            stack.append(s.els)
-            stack.append(s.then)
-        elif isinstance(s, While):
-            stack.append(s.body)
-        elif isinstance(s, Atomic):
-            stack.append(s.body)
-    return out
-
-
-def _node_names(s: Stmt, out: Set[str]) -> None:
-    """Variable names a single node mentions (binders and uses)."""
-
-    if isinstance(s, Assign):
-        out.add(s.var)
-        out.update(s.expr.free_vars())
-    elif isinstance(s, Load):
-        out.add(s.var)
-        out.update(s.addr.free_vars())
-    elif isinstance(s, Store):
-        out.update(s.addr.free_vars())
-        out.update(s.expr.free_vars())
-    elif isinstance(s, Alloc):
-        out.add(s.var)
-        for init in s.inits:
-            out.update(init.free_vars())
-    elif isinstance(s, Dispose):
-        out.update(s.addr.free_vars())
-    elif isinstance(s, Assume):
-        out.update(s.cond.free_vars())
-    elif isinstance(s, NondetChoice):
-        out.add(s.var)
-        for choice in s.choices:
-            out.update(choice.free_vars())
-    elif isinstance(s, (If, While)):
-        out.update(s.cond.free_vars())
-    elif isinstance(s, Return):
-        out.update(s.expr.free_vars())
-    elif isinstance(s, Print):
-        out.update(s.expr.free_vars())
-    elif isinstance(s, Call):
-        if s.var:
-            out.add(s.var)
-        if s.arg is not None:
-            out.update(s.arg.free_vars())
-
-
-def _stmt_vars(stmt: Stmt) -> Set[str]:
-    out: Set[str] = set()
-    for node in _enum_nodes(stmt):
-        _node_names(node, out)
-    return out
 
 
 class _IsoMismatch(Exception):
@@ -540,7 +468,7 @@ def scan_thread_symmetry(program) -> ThreadSymmetry:
         reasons.append("client variables not declared private")
 
     for idx, client in enumerate(clients, 1):
-        for node in _enum_nodes(client):
+        for node in iter_stmts(client):
             if isinstance(node, _TSYM_BANNED_CLIENT):
                 reasons.append(
                     f"client {idx} uses {type(node).__name__}: clients "
@@ -556,13 +484,13 @@ def scan_thread_symmetry(program) -> ThreadSymmetry:
         mdef = program.object_impl.methods[name]
         if mdef.param == "cid" or "cid" in mdef.locals:
             reasons.append(f"method {name} declares 'cid'")
-        elif "cid" in _stmt_vars(mdef.body):
+        elif "cid" in stmt_vars(mdef.body):
             reasons.append(f"method {name} mentions the thread id 'cid'")
 
     var_maps: List[Dict[str, str]] = []
     inv_maps: List[Dict[str, str]] = []
     if clients:
-        base_vars = _stmt_vars(clients[0])
+        base_vars = stmt_vars(clients[0])
         ident = {v: v for v in base_vars}
         var_maps.append(ident)
         inv_maps.append(dict(ident))
@@ -582,7 +510,7 @@ def scan_thread_symmetry(program) -> ThreadSymmetry:
         # exactly one client, with per-client projections corresponding
         # (same values) under the variable bijections.
         init = dict(program.initial_client_memory)
-        owner_sets = [_stmt_vars(c) for c in clients]
+        owner_sets = [stmt_vars(c) for c in clients]
         for key in sorted(init):
             owners = [t for t, vs in enumerate(owner_sets, 1)
                       if key in vs]
@@ -605,7 +533,7 @@ def scan_thread_symmetry(program) -> ThreadSymmetry:
         reasons=tuple(sorted(set(reasons))),
         var_maps=tuple(var_maps) if ok else (),
         inv_maps=tuple(inv_maps) if ok else (),
-        node_tables=tuple(tuple(_enum_nodes(c)) for c in clients)
+        node_tables=tuple(tuple(iter_stmts(c)) for c in clients)
         if ok else (),
     )
     try:

@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..lang.ast import Noret
-from .eligibility import _enum_nodes
+from ..lang.walk import iter_stmts
 
 SYM_BASE = 1 << 16
 SYM_STRIDE = 16
@@ -490,11 +490,9 @@ class ThreadPermuter:
         # else — e.g. an unpickled copy of a client statement in a
         # parallel worker — must bail rather than silently map to
         # itself, which would rotate σ_c and frames but not controls.
-        method_ids: set = set()
-        for mdef in program.object_impl.methods.values():
-            for node in _enum_nodes(mdef.body):
-                method_ids.add(id(node))
-        self._method_ids = method_ids
+        self._method_ids = {
+            id(node) for mdef in program.object_impl.methods.values()
+            for node in iter_stmts(mdef.body)}
         self._var_owner: Dict[str, int] = {}
         for t, vm in enumerate(tsym.var_maps, 1):
             for name in vm:

@@ -12,9 +12,12 @@ Sec-2.4 racy counter, at 2 threads x 1 operation, the probe runs
   the verdict);
 * the Fig-11 witness, with and without complete histories, and its
   seeded random walk (64 walks, seed 0);
+* LP inference on the plain code and, where it succeeds, the
+  synthesis of instrumentation from its plan;
 
 and records node counts, digests of the history and observable sets,
-the reduction and dedup counters and the failure records.  Run as a
+the reduction and dedup counters, the failure records, the inferred
+disciplines and LP sites, and a digest of the synthesized bodies.  Run as a
 script it prints the JSON::
 
     PYTHONPATH=src python tests/registry_probe.py > probe.json
@@ -37,6 +40,7 @@ from repro.algorithms.counter_nonatomic import (
     racy_counter,
 )
 from repro.algorithms.specs import counter_spec
+from repro.analysis import infer_object, synthesize_object
 from repro.engine.random_walk import random_walk_instrumented
 from repro.history.object_lin import (
     check_program_linearizable,
@@ -98,6 +102,18 @@ def witness_record(result) -> dict:
             "semantics": result.semantics}
 
 
+def inference_record(alg, name: str) -> dict:
+    inf = infer_object(alg.impl, name=name)
+    synth = None
+    if inf.ok:
+        syn = synthesize_object(alg.impl, alg.spec, inference=inf,
+                                name=name)
+        text = "\n".join(repr(syn.methods[m].body)
+                         for m in sorted(syn.methods))
+        synth = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return {"inferred": inf.to_json(), "synthesized": synth}
+
+
 def probe_one(name: str) -> dict:
     alg = algorithm(name)
     menu = alg.workload.menu
@@ -138,6 +154,7 @@ def probe_one(name: str) -> dict:
                                 alg.limits, alg.invariant, alg.guarantee)
     out["witness-walk"] = witness_record(
         random_walk_instrumented(runner, walks=64, seed=0))
+    out["infer"] = inference_record(alg, name)
     return out
 
 

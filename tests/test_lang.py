@@ -97,6 +97,25 @@ class TestStructuralEq:
         assert add("x", 1) == add("x", 1)
 
 
+class TestWalk:
+    def test_preorder_enters_atomic_and_ghost_bodies(self):
+        from repro.instrument.commands import ghost
+        from repro.lang.ast import Load
+        from repro.lang.walk import defined_vars, iter_stmts, stmt_vars
+
+        a, b, c = assign("a", 1), assign("b", "x"), assign("c", 2)
+        load = Load("d", add("p", 1))
+        gload = Load("_g", Var("q"))
+        g = ghost(gload)
+        branch = if_(eq("x", 0), b, c)
+        loop = while_(eq("d", 0), Atomic(load))
+        body = seq(a, branch, loop, g)
+        assert list(iter_stmts(body)) == [
+            body, a, branch, b, c, loop, loop.body, load, g, gload]
+        assert defined_vars(body) == {"a", "b", "c", "d", "_g"}
+        assert stmt_vars(body) == {"a", "b", "c", "d", "_g", "x", "p", "q"}
+
+
 class TestCasBuilders:
     def test_cas_var_shape(self):
         stmt = cas_var("b", "S", "t", "x")

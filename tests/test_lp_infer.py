@@ -213,6 +213,21 @@ def test_synthesized_registry_is_separate():
         set(algorithm_names(include_synthesized=True))
 
 
+@pytest.mark.parametrize("name", list(HOOK_SUPERSET) + synthesized_names())
+def test_synthesized_instrumentation_is_pinned(name):
+    """The rows no structural test covers (the hook-superset list and the
+    two synthesized entries) render exactly as checked in under
+    ``tests/synthesized/``."""
+
+    from repro.pretty import render_method
+
+    syn = synthesize_algorithm(get_algorithm(name))
+    text = "\n".join(render_method(syn.methods[m])
+                     for m in sorted(syn.methods))
+    pinned = (REPO / "tests" / "synthesized" / f"{name}.txt").read_text()
+    assert text + "\n" == pinned
+
+
 @pytest.mark.parametrize("name", synthesized_names())
 def test_synthesized_algorithms_verify(name):
     alg = get_algorithm(name)
@@ -291,6 +306,31 @@ def test_cli_infer_single_target(capsys):
     assert data["treiber"]["methods"]["push"]["discipline"] == "fixed"
 
 
+def test_cli_infer_named_subset_against_full_baseline(tmp_path, capsys):
+    """Naming targets compares only those against the full baseline; the
+    other entries are reported as not re-checked, and a drift in a named
+    target still fails."""
+
+    from repro.analysis.__main__ import main
+
+    full = REPO / "lp_baseline.json"
+    rc = main(["infer", "treiber", "--baseline", str(full)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "baseline check: OK" in out
+    assert "baseline target rdcss not inferred; its sites were not " \
+           "re-checked" in out
+
+    baseline = json.loads(full.read_text())
+    baseline["treiber"]["discipline"] = "helping"
+    tampered = tmp_path / "lp.json"
+    tampered.write_text(json.dumps(baseline))
+    rc = main(["infer", "treiber", "--baseline", str(tampered)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "inference drift in treiber" in out
+
+
 def test_cli_lint_strict_fails_on_resolved(tmp_path, capsys):
     """The ``lint`` subcommand is strict: a *resolved* baseline entry
     (stale pin) fails the run, where the legacy bare invocation only
@@ -329,17 +369,27 @@ _branch = st.tuples(st.sampled_from(_CONDS),
                     st.lists(_simple, min_size=1, max_size=2)).map(
     lambda cb: "if (%s) { %s } else { %s }"
                % (cb[0], " ".join(cb[1]), " ".join(cb[2])))
+_exit = st.sampled_from(_CONDS).map(
+    lambda c: "if (%s) { b := 1; } else { skip; }" % c)
+#: A cas retry loop, so generated programs reach the loop paths of the
+#: completion checks and, through an early exit, the restart commit.
+_loop = st.tuples(st.lists(_simple | _branch | _exit, max_size=2),
+                  st.sampled_from(("v", "t + 1", "1"))).map(
+    lambda lc: "b := 0; while (b = 0) { t := x; %s "
+               "< if (x = t) { x := %s; b := 1; } else { b := 0; } > }"
+               % (" ".join(lc[0]), lc[1]))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(_simple | _atomic | _branch, min_size=1, max_size=4),
+@given(st.lists(_simple | _atomic | _branch | _loop, min_size=1,
+                max_size=4),
        st.sampled_from(["t", "0"]))
 def test_generated_program_synthesis_erases_back(stmts, retval):
     """For every generated program the inference either refuses (with a
     reason) or synthesizes instrumentation that erases back to the
     original — and does so deterministically."""
 
-    source = "m(v) { local t; t := 0; %s return %s; }" \
+    source = "m(v) { local t, b; t := 0; %s return %s; }" \
              % (" ".join(stmts), retval)
     impl = ObjectImpl({"m": parse_method(source)}, {"x": 0}, name="gen")
     inf = infer_object(impl)
