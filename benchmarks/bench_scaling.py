@@ -79,9 +79,9 @@ def test_instrumented_witness_vs_model_checking(benchmark, threads, ops):
 
     instr, lin = benchmark.pedantic(both, rounds=1, iterations=1)
     print(f"\n[{threads}x{ops}] instrumented: {instr.nodes} states; "
-          f"model checker: {lin.nodes_explored} states")
+          f"model checker: {lin.nodes} states")
     assert instr.ok and lin.ok
-    assert instr.nodes <= lin.nodes_explored
+    assert instr.nodes <= lin.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_memoized_rerun_speedup_above_seed_bounds(benchmark, tmp_path,
           f"{warm_s:.4f}s -> {speedup:.0f}x")
     assert warm.from_cache
     assert warm.ok == fill.ok == cold.ok
-    assert warm.nodes_explored == cold.nodes_explored
+    assert warm.nodes == cold.nodes
     assert speedup >= 2.0
 
 
@@ -201,15 +201,15 @@ def test_reduction_ablation(benchmark, name, threads, ops, min_ratio):
         rounds=1, iterations=1)
     red_s = time.perf_counter() - t1
 
-    ratio = base.nodes_explored / max(red.nodes_explored, 1)
+    ratio = base.nodes / max(red.nodes, 1)
     speedup = base_s / max(red_s, 1e-9)
     benchmark.extra_info.update(
-        reduce=red.reduce, nodes_reduced=red.nodes_explored,
-        nodes_unreduced=base.nodes_explored, node_ratio=round(ratio, 2),
+        reduce=red.reduce, nodes_reduced=red.nodes,
+        nodes_unreduced=base.nodes, node_ratio=round(ratio, 2),
         speedup=round(speedup, 2), por_pruned=red.por_pruned,
         sym_merged=red.sym_merged)
-    print(f"\n[{name} {threads}x{ops}] reduced {red.nodes_explored} "
-          f"({red_s:.1f}s) vs unreduced {base.nodes_explored} "
+    print(f"\n[{name} {threads}x{ops}] reduced {red.nodes} "
+          f"({red_s:.1f}s) vs unreduced {base.nodes} "
           f"({base_s:.1f}s): {ratio:.2f}x fewer nodes, "
           f"{speedup:.2f}x faster")
     assert red.ok == base.ok and red.bounded == base.bounded

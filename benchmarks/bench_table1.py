@@ -35,12 +35,13 @@ def test_table1_row(benchmark, name):
     benchmark.extra_info["engine"] = row.engine
     benchmark.extra_info["exhaustive"] = row.exhaustive
     benchmark.extra_info["workload"] = row.workload
-    benchmark.extra_info["reduce"] = row.reduce
-    benchmark.extra_info["nodes"] = row.nodes
-    benchmark.extra_info["nodes_per_sec"] = round(row.nodes_per_sec, 1)
-    benchmark.extra_info["por_pruned"] = row.por_pruned
-    benchmark.extra_info["sym_merged"] = row.sym_merged
-    benchmark.extra_info["dedup_hit_rate"] = round(row.dedup_hit_rate, 4)
+    lin = row.report.linearizability
+    benchmark.extra_info["reduce"] = lin.reduce
+    benchmark.extra_info["nodes"] = lin.nodes
+    benchmark.extra_info["nodes_per_sec"] = round(lin.nodes_per_sec, 1)
+    benchmark.extra_info["por_pruned"] = lin.por_pruned
+    benchmark.extra_info["sym_merged"] = lin.sym_merged
+    benchmark.extra_info["dedup_hit_rate"] = round(lin.dedup_hit_rate, 4)
     assert row.verified, row.report.summary()
     assert not row.report.instrumented.bounded
     assert not row.report.linearizability.bounded

@@ -44,26 +44,26 @@ def main():
     t0 = time.perf_counter()
     abstract = abstract_observables(alg.spec, clients, LIMITS)
     t_abs = time.perf_counter() - t0
-    print(f"  {len(abstract.traces)} observable traces, "
+    print(f"  {len(abstract.observables)} observable traces, "
           f"{abstract.nodes} states, {t_abs:.2f}s")
 
     print("analysing the client against the CONCRETE queue (let Π in ...)")
     t0 = time.perf_counter()
     concrete = concrete_observables(alg.impl, clients, LIMITS)
     t_conc = time.perf_counter() - t0
-    print(f"  {len(concrete.traces)} observable traces, "
+    print(f"  {len(concrete.observables)} observable traces, "
           f"{concrete.nodes} states, {t_conc:.2f}s")
 
-    assert concrete.traces <= abstract.traces, \
+    assert concrete.observables <= abstract.observables, \
         "refinement violated — the object would be non-linearizable"
     print("\nO[[let Π in C]] ⊆ O[[with Γ do C]]  — refinement confirmed")
     speedup = concrete.nodes / max(abstract.nodes, 1)
     print(f"abstract analysis explores {speedup:.0f}x fewer states")
 
     print("\nmaximal observable outcomes (consumer's two dequeues):")
-    maximal = {t for t in abstract.traces
+    maximal = {t for t in abstract.observables
                if not any(t == u[:len(t)] and len(u) > len(t)
-                          for u in abstract.traces)}
+                          for u in abstract.observables)}
     for trace in sorted(maximal, key=repr):
         print("  ", format_trace(trace))
 

@@ -111,19 +111,11 @@ def run_lint(argv: List[str], prog: str, strict: bool) -> int:
 def _infer_targets(names: List[str]):
     """(name, ObjectInference) pairs for the requested targets."""
 
-    from ..algorithms import algorithm_names, get_algorithm
-    from .diagnostics import builtin_extra_targets
-    from .lp_infer import infer_algorithm, infer_object
+    from .diagnostics import analysis_targets
+    from .lp_infer import infer_object
 
-    if names:
-        return [(n, infer_algorithm(get_algorithm(n))) for n in names]
-    out = []
-    for n in algorithm_names(include_synthesized=True):
-        out.append((n, infer_algorithm(get_algorithm(n))))
-    for extra_name, kwargs in builtin_extra_targets():
-        out.append((extra_name,
-                    infer_object(kwargs["impl"], name=extra_name)))
-    return out
+    return [(name, infer_object(target["impl"], name=name))
+            for name, target in analysis_targets(names)]
 
 
 def _infer_map(results) -> Dict[str, dict]:

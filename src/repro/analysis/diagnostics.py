@@ -113,17 +113,22 @@ def analyze_object(name, instrumented=None, impl=None, menu=None,
     return report
 
 
-def analyze_algorithm(algorithm) -> AnalysisReport:
-    """The full report for one registry :class:`Algorithm`."""
+def _algorithm_target(algorithm) -> dict:
+    """:func:`analyze_object`'s keywords for a registry :class:`Algorithm`."""
 
-    return analyze_object(
-        algorithm.name,
+    return dict(
         instrumented=algorithm.instrumented,
         impl=algorithm.impl,
         menu=algorithm.workload.menu,
         threads=algorithm.workload.threads,
         ops_per_thread=algorithm.workload.ops_per_thread,
     )
+
+
+def analyze_algorithm(algorithm) -> AnalysisReport:
+    """The full report for one registry :class:`Algorithm`."""
+
+    return analyze_object(algorithm.name, **_algorithm_target(algorithm))
 
 
 def builtin_extra_targets() -> List[Tuple[str, dict]]:
@@ -150,16 +155,33 @@ def builtin_extra_targets() -> List[Tuple[str, dict]]:
     ]
 
 
-def analyze_all(names=None) -> List[AnalysisReport]:
-    """Reports for the named registry algorithms (default: all 12) plus
-    the builtin extra targets."""
+def analysis_targets(names=None) -> List[Tuple[str, dict]]:
+    """``(name, keywords for analyze_object)`` for the named targets
+    (default: the registry, hand and synthesized, then the builtin
+    extras); a name in neither set raises
+    :class:`~repro.errors.ReproError` listing both."""
 
     from ..algorithms import algorithm_names, get_algorithm
+    from ..errors import ReproError
 
-    reports = []
-    for name in (names or algorithm_names(include_synthesized=True)):
-        reports.append(analyze_algorithm(get_algorithm(name)))
-    if names is None:
-        for extra_name, kwargs in builtin_extra_targets():
-            reports.append(analyze_object(extra_name, **kwargs))
-    return reports
+    registry = algorithm_names(include_synthesized=True)
+    extras = dict(builtin_extra_targets())
+    out = []
+    for name in (names or registry + list(extras)):
+        if name in extras:
+            out.append((name, extras[name]))
+        elif name in registry:
+            out.append((name, _algorithm_target(get_algorithm(name))))
+        else:
+            raise ReproError(
+                f"unknown target {name!r}; known: registry {registry}, "
+                f"builtin extras {list(extras)}")
+    return out
+
+
+def analyze_all(names=None) -> List[AnalysisReport]:
+    """Reports for the named targets (default: every registry algorithm
+    plus the builtin extras — see :func:`analysis_targets`)."""
+
+    return [analyze_object(name, **target)
+            for name, target in analysis_targets(names)]

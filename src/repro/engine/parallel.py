@@ -203,9 +203,6 @@ class SearchProblem:
     (:meth:`merge_verdict`), and its verdict short-circuit.
     """
 
-    #: Result counters summed over partial results.
-    counters = ("dedup_hits", "dedup_lookups", "elapsed")
-
     def __init__(self, searcher, roots, max_nodes: int):
         self.searcher = searcher
         self._roots = roots
@@ -242,8 +239,7 @@ class SearchProblem:
                 expanded.add(digest)
                 acc.nodes += 1
         acc.bounded = acc.bounded or partial.bounded
-        for name in self.counters:
-            setattr(acc, name, getattr(acc, name) + getattr(partial, name))
+        acc.add_counters(partial)
         note_diagnostics(acc, partial.diagnostics)
         self.merge_verdict(acc, partial)
 
@@ -266,16 +262,8 @@ class SearchProblem:
         pass
 
 
-#: The reduction counters an :class:`~repro.semantics.scheduler.Explorer`
-#: search adds to its results.
-_REDUCTION_COUNTERS = ("por_pruned", "sym_merged", "sleep_skipped",
-                       "tsym_merged")
-
-
 class ExploreProblem(SearchProblem):
     """Plain interleaving exploration (:class:`repro.semantics.scheduler.Explorer`)."""
-
-    counters = SearchProblem.counters + _REDUCTION_COUNTERS
 
     def __init__(self, program, limits, reduce=None, semantics=None):
         from ..semantics.scheduler import Explorer
@@ -311,8 +299,6 @@ class ExploreProblem(SearchProblem):
 
 class ProductLinProblem(SearchProblem):
     """The Definition-2 product engine (configurations × monitor)."""
-
-    counters = SearchProblem.counters + _REDUCTION_COUNTERS
 
     def __init__(self, program, spec, limits, theta=None, reduce=None,
                  semantics=None):

@@ -116,7 +116,7 @@ def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
         hist = ()
         depth = 0
         while True:
-            out.nodes_explored += 1
+            out.nodes += 1
             successors = explorer._expand(config)
             if not successors:
                 break

@@ -31,7 +31,7 @@ from ..memory.store import Store
 from ..semantics.events import Trace, format_trace, trace_order
 from ..semantics.mgc import CallMenu, mgc_program
 from ..semantics.scheduler import Explorer, Limits, explore
-from ..semantics.search import Node, StopSearch, search
+from ..semantics.search import Node, SearchStats, StopSearch, search, stats_of
 from ..spec.gamma import OSpec
 from ..spec.refmap import RefMap
 from .linearize import find_linearization
@@ -39,68 +39,29 @@ from .monitor import SpecMonitor
 
 
 @dataclass
-class ObjectLinResult:
-    """Outcome of a bounded Definition-2 check."""
+class ObjectLinResult(SearchStats):
+    """Outcome of a bounded Definition-2 check.
 
-    ok: bool
+    A non-exhaustive engine (random-walk) can only report "no violation
+    *found*", never a verified bound: reporting must read ``exhaustive``.
+    Under the product engine ``expanded_keys`` collects
+    ``(config, states)``.
+    """
+
+    ok: bool = True
     histories_checked: int = 0
-    nodes_explored: int = 0
-    bounded: bool = False
     aborted: bool = False
     counterexample: Optional[Trace] = None
     reason: str = ""
-    #: Which engine produced this verdict; a non-exhaustive engine
-    #: (random-walk) can only report "no violation *found*", never a
-    #: verified bound — downstream reporting must keep them distinct.
-    engine: str = "sequential"
-    exhaustive: bool = True
-    from_cache: bool = False
-    #: Reduction mode actually in force and its perf counters (see
-    #: :class:`repro.semantics.scheduler.ExplorationResult`).
-    reduce: str = "none"
-    reduce_reasons: Tuple[str, ...] = ()
-    #: Step semantics actually used ("compiled" / "interp") and why a
-    #: requested "compiled" degraded (see :mod:`repro.compile`).
-    semantics: str = "interp"
-    semantics_reasons: Tuple[str, ...] = ()
-    #: Exploration diagnostics (e.g. atomic-loop fuel cuts); non-empty
-    #: implies ``bounded``.
-    diagnostics: Tuple[str, ...] = ()
-    por_pruned: int = 0
-    sym_merged: int = 0
-    sleep_skipped: int = 0
-    tsym_merged: int = 0
-    reexplored: int = 0
-    dedup_hits: int = 0
-    dedup_lookups: int = 0
-    elapsed: float = 0.0
-    #: When bound to a list before ``product_run_from``, every expansion
-    #: appends its dedup key ``(config, states)``; the parallel driver
-    #: digests these structurally for cross-task expansion dedup
-    #: (``None`` disables collection).
-    expanded_keys: Optional[List] = None
     #: The distinct histories the product search reached (prefix-closed,
     #: with the empty one); ``histories_checked`` is their number.
     histories: Set[Trace] = field(default_factory=set, repr=False)
 
     @property
-    def nodes(self) -> int:
-        """``nodes_explored``, under the name every other result uses."""
-        return self.nodes_explored
-
-    @nodes.setter
-    def nodes(self, value: int) -> None:
-        self.nodes_explored = value
-
-    @property
-    def nodes_per_sec(self) -> float:
-        return self.nodes_explored / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def dedup_hit_rate(self) -> float:
-        if self.dedup_lookups <= 0:
-            return 0.0
-        return self.dedup_hits / self.dedup_lookups
+    def nodes_explored(self) -> int:
+        """``nodes``, under its old name: the benchmark harness
+        ``perfbench/child.py`` reads it and is kept unchanged."""
+        return self.nodes
 
     def __bool__(self) -> bool:
         return self.ok
@@ -112,7 +73,7 @@ class ObjectLinResult:
             status = ("NO VIOLATION FOUND (sampled)" if self.ok
                       else "NOT LINEARIZABLE")
         extra = " (bounded)" if self.bounded else ""
-        msg = (f"{status}{extra}: {self.nodes_explored} product states, "
+        msg = (f"{status}{extra}: {self.nodes} product states, "
                f"{self.histories_checked} histories")
         if self.counterexample is not None:
             msg += f"; counterexample: {format_trace(self.counterexample)}"
@@ -268,24 +229,7 @@ def check_program_linearizable_definitional(
     """
 
     result = explore(program, limits, engine=engine)
-    out = ObjectLinResult(ok=True, bounded=result.bounded,
-                          aborted=result.aborted,
-                          nodes_explored=result.nodes,
-                          engine=result.engine,
-                          exhaustive=result.exhaustive,
-                          reduce=result.reduce,
-                          reduce_reasons=result.reduce_reasons,
-                          semantics=result.semantics,
-                          semantics_reasons=result.semantics_reasons,
-                          diagnostics=result.diagnostics,
-                          por_pruned=result.por_pruned,
-                          sym_merged=result.sym_merged,
-                          sleep_skipped=result.sleep_skipped,
-                          tsym_merged=result.tsym_merged,
-                          reexplored=result.reexplored,
-                          dedup_hits=result.dedup_hits,
-                          dedup_lookups=result.dedup_lookups,
-                          elapsed=result.elapsed)
+    out = ObjectLinResult(aborted=result.aborted, **stats_of(result))
     if result.aborted:
         out.ok = False
         out.reason = "some execution aborts (object or client fault)"

@@ -49,7 +49,7 @@ from ..semantics.eval import EvalError, eval_bool_in, eval_in
 from ..semantics.events import InvokeEvent, ReturnEvent, Trace
 from ..semantics.mgc import CallMenu
 from ..semantics.scheduler import Limits
-from ..semantics.search import BoundedCache, Node, search
+from ..semantics.search import BoundedCache, Node, SearchStats, search
 from ..semantics.thread import (
     Env,
     Fault,
@@ -183,39 +183,18 @@ class FailureRecord:
 
 
 @dataclass
-class InstrumentedRunResult:
+class InstrumentedRunResult(SearchStats):
+    """Outcome of a Fig-11 witness run.
+
+    A random-walk run only samples the state space, so its "VERIFIED"
+    means "no obligation violated on the sampled paths" and is reported
+    as such.  A bound hit inside a step is a ``bound`` failure here, not
+    a diagnostic.
+    """
+
     ok: bool = True
     failures: List[FailureRecord] = field(default_factory=list)
-    nodes: int = 0
-    bounded: bool = False
     histories: Set[Trace] = field(default_factory=set)
-    #: Engine provenance — a random-walk run only samples the state
-    #: space, so its "VERIFIED" means "no obligation violated on the
-    #: sampled paths" and is reported as such.
-    engine: str = "sequential"
-    exhaustive: bool = True
-    from_cache: bool = False
-    #: The step semantics actually used: ``"compiled"`` (transition
-    #: tables) or ``"interp"`` (the Fig-11 interpreter).
-    semantics: str = "interp"
-    #: Why a requested ``"compiled"`` degraded to ``"interp"`` (empty
-    #: when nothing degraded).
-    semantics_reasons: Tuple[str, ...] = ()
-    #: Search counters, as on the other deciders' results: ``reexplored``
-    #: counts nodes the parallel driver expanded more than once, the
-    #: dedup pair gives the seen-set hit rate, ``elapsed`` is search
-    #: wall-clock.
-    reexplored: int = 0
-    dedup_hits: int = 0
-    dedup_lookups: int = 0
-    elapsed: float = 0.0
-    #: Search diagnostics, as on the other deciders' results; non-empty
-    #: implies ``bounded`` (a bound hit inside a step is a ``bound``
-    #: failure here instead, so nothing fills this yet).
-    diagnostics: Tuple[str, ...] = ()
-    #: Search-node keys expanded by ``run_from``, collected only when set
-    #: to a list (the parallel engine's cross-task expansion dedup).
-    expanded_keys: Optional[List] = None
 
     def summary(self) -> str:
         if self.exhaustive:

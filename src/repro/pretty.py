@@ -43,6 +43,7 @@ from .lang.ast import (
     While,
 )
 from .lang.program import MethodDef
+from .semantics.search import SearchStats
 
 INDENT = "  "
 
@@ -146,14 +147,13 @@ def render_object(methods, title: str = "") -> str:
     return "\n\n".join(parts)
 
 
-def render_perf(result) -> str:
-    """One-line performance summary of an exploration result.
+def render_perf(result: SearchStats) -> str:
+    """One-line performance summary of a decider's result.
 
-    Works for any result carrying the standard counters
-    (:class:`~repro.semantics.scheduler.ExplorationResult`,
-    :class:`~repro.history.object_lin.ObjectLinResult`): node
-    throughput, seen-set hit rate, and — when a reduction was active —
-    how many successor edges partial-order reduction pruned and how many
+    Works for every result (each is a
+    :class:`~repro.semantics.search.SearchStats`): node throughput,
+    seen-set hit rate, and — when a reduction was active — how many
+    successor edges partial-order reduction pruned and how many
     configurations address-symmetry canonicalization merged.
 
     A memo-cache hit carries zero elapsed time and possibly zero nodes;
@@ -161,34 +161,24 @@ def render_perf(result) -> str:
     (never a division by zero).
     """
 
-    nodes = getattr(result, "nodes", None)
-    if nodes is None:
-        nodes = getattr(result, "nodes_explored", 0)
-    parts = [f"nodes={nodes}"]
-    if getattr(result, "from_cache", False):
+    parts = [f"nodes={result.nodes}"]
+    if result.from_cache:
         parts.append("memo-hit")
-    elapsed = getattr(result, "elapsed", 0.0) or 0.0
-    if elapsed > 0 and nodes:
-        parts.append(f"nodes/sec={nodes / elapsed:,.0f}")
-    lookups = getattr(result, "dedup_lookups", 0)
-    if lookups:
-        hits = getattr(result, "dedup_hits", 0)
-        parts.append(f"dedup-hit-rate={hits / lookups:.1%}")
-    reduce = getattr(result, "reduce", "none")
-    parts.append(f"reduce={reduce}")
-    if reduce != "none":
-        parts.append(f"por-pruned={getattr(result, 'por_pruned', 0)}")
-        parts.append(f"sym-merged={getattr(result, 'sym_merged', 0)}")
-        sleep = getattr(result, "sleep_skipped", 0)
-        if sleep:
-            parts.append(f"sleep-skipped={sleep}")
-        tsym = getattr(result, "tsym_merged", 0)
-        if tsym:
-            parts.append(f"tsym-merged={tsym}")
-    reexplored = getattr(result, "reexplored", 0)
-    if reexplored:
-        parts.append(f"reexplored={reexplored}")
-    reasons = getattr(result, "reduce_reasons", ())
-    if reasons:
-        parts.append("reduce-held-back=[" + "; ".join(reasons) + "]")
+    if result.nodes_per_sec:
+        parts.append(f"nodes/sec={result.nodes_per_sec:,.0f}")
+    if result.dedup_lookups:
+        parts.append(f"dedup-hit-rate={result.dedup_hit_rate:.1%}")
+    parts.append(f"reduce={result.reduce}")
+    if result.reduce != "none":
+        parts.append(f"por-pruned={result.por_pruned}")
+        parts.append(f"sym-merged={result.sym_merged}")
+        if result.sleep_skipped:
+            parts.append(f"sleep-skipped={result.sleep_skipped}")
+        if result.tsym_merged:
+            parts.append(f"tsym-merged={result.tsym_merged}")
+    if result.reexplored:
+        parts.append(f"reexplored={result.reexplored}")
+    if result.reduce_reasons:
+        parts.append("reduce-held-back=["
+                     + "; ".join(result.reduce_reasons) + "]")
     return "  ".join(parts)

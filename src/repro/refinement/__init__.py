@@ -7,14 +7,10 @@ from .contextual import (
     check_contextual_refinement,
     check_equivalence_instance,
 )
-from .observable import (
-    ObservedBehaviour,
-    abstract_observables,
-    concrete_observables,
-)
+from .observable import abstract_observables, concrete_observables
 
 __all__ = [
     "EquivalenceResult", "RefinementResult", "check_clients_refinement",
     "check_contextual_refinement", "check_equivalence_instance",
-    "ObservedBehaviour", "abstract_observables", "concrete_observables",
+    "abstract_observables", "concrete_observables",
 ]

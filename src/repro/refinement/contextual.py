@@ -25,19 +25,24 @@ from ..memory.store import Store
 from ..semantics.events import Trace, format_trace, trace_order
 from ..semantics.mgc import CallMenu, printing_client
 from ..semantics.scheduler import Limits
+from ..semantics.search import SearchStats, note_diagnostics, stats_of
 from ..spec.gamma import OSpec
 from ..spec.refmap import RefMap
 from .observable import abstract_observables, concrete_observables
 
 
 @dataclass
-class RefinementResult:
-    """Outcome of a bounded Definition-3 check."""
+class RefinementResult(SearchStats):
+    """Outcome of a bounded Definition-3 check.
 
-    ok: bool
+    Its :class:`SearchStats` are the concrete side's exploration — the
+    expensive side, run on the requested engine — with the abstract
+    side's ``bounded`` and diagnostics folded in.
+    """
+
+    ok: bool = True
     concrete_traces: int = 0
     abstract_traces: int = 0
-    bounded: bool = False
     missing: Optional[Trace] = None
     reason: str = ""
 
@@ -73,11 +78,14 @@ def check_clients_refinement(impl: ObjectImpl, spec: OSpec,
                                 private_client_vars, engine=engine)
     abst = abstract_observables(spec, clients, limits, client_memory,
                                 private_client_vars)
-    out = RefinementResult(ok=True,
-                           concrete_traces=len(conc.traces),
-                           abstract_traces=len(abst.traces),
-                           bounded=conc.bounded or abst.bounded)
-    for trace in sorted(conc.traces - abst.traces, key=trace_order):
+    out = RefinementResult(concrete_traces=len(conc.observables),
+                           abstract_traces=len(abst.observables),
+                           **stats_of(conc))
+    if abst.bounded:
+        out.bounded = True
+        note_diagnostics(out, abst.diagnostics)
+    for trace in sorted(conc.observables - abst.observables,
+                        key=trace_order):
         out.ok = False
         out.missing = trace
         out.reason = "concrete observable trace has no abstract counterpart"

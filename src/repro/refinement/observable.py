@@ -9,48 +9,39 @@ missing *extensions* beyond the bound are reported via ``bounded``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from ..lang.ast import Stmt
 from ..lang.program import ObjectImpl, Program
-from ..semantics.abstract import AbstractProgram, explore_abstract
-from ..semantics.events import Trace
-from ..semantics.scheduler import Limits, explore
+from ..semantics.abstract import (
+    AbsExplorationResult,
+    AbstractProgram,
+    explore_abstract,
+)
+from ..semantics.scheduler import ExplorationResult, Limits, explore
 from ..spec.gamma import OSpec
-
-
-@dataclass
-class ObservedBehaviour:
-    """The observable-trace set of one program side."""
-
-    traces: Set[Trace]
-    aborted: bool
-    bounded: bool
-    nodes: int
 
 
 def concrete_observables(impl: ObjectImpl, clients: Tuple[Stmt, ...],
                          limits: Optional[Limits] = None,
                          client_memory: Tuple[Tuple[str, int], ...] = (),
                          private_client_vars: bool = False,
-                         engine=None) -> ObservedBehaviour:
-    """``O[[let Π in C1 ∥ ... ∥ Cn]]`` up to the exploration bound."""
+                         engine=None) -> ExplorationResult:
+    """``O[[let Π in C1 ∥ ... ∥ Cn]]`` up to the exploration bound: the
+    exploration's ``observables``."""
 
     program = Program(impl, clients, client_memory, private_client_vars)
-    result = explore(program, limits, engine=engine)
-    return ObservedBehaviour(result.observables, result.aborted,
-                             result.bounded, result.nodes)
+    return explore(program, limits, engine=engine)
 
 
 def abstract_observables(spec: OSpec, clients: Tuple[Stmt, ...],
                          limits: Optional[Limits] = None,
                          client_memory: Tuple[Tuple[str, int], ...] = (),
-                         private_client_vars: bool = False) -> ObservedBehaviour:
-    """``O[[with Γ do C1 ∥ ... ∥ Cn]]`` up to the exploration bound."""
+                         private_client_vars: bool = False
+                         ) -> AbsExplorationResult:
+    """``O[[with Γ do C1 ∥ ... ∥ Cn]]`` up to the exploration bound: the
+    abstract exploration's ``observables``."""
 
     program = AbstractProgram(spec, clients, client_memory,
                               private_client_vars)
-    result = explore_abstract(program, limits)
-    return ObservedBehaviour(result.observables, result.aborted,
-                             result.bounded, result.nodes)
+    return explore_abstract(program, limits)

@@ -27,7 +27,7 @@ from .events import (
     Trace,
 )
 from .scheduler import Limits
-from .search import search
+from .search import SearchStats, search
 from .thread import (
     ThreadState,
     expand_until_visible,
@@ -48,21 +48,10 @@ class AbsConfig:
 
 
 @dataclass
-class AbsExplorationResult:
+class AbsExplorationResult(SearchStats):
     histories: Set[Trace] = field(default_factory=set)
     observables: Set[Trace] = field(default_factory=set)
     aborted: bool = False
-    bounded: bool = False
-    nodes: int = 0
-    #: Human-readable exploration diagnostics (e.g. an atomic-loop fuel
-    #: exhaustion cutting a transition); non-empty implies ``bounded``.
-    diagnostics: Tuple[str, ...] = ()
-    #: What the search core writes on every result (see
-    #: :func:`~repro.semantics.search.search`).
-    dedup_hits: int = 0
-    dedup_lookups: int = 0
-    elapsed: float = 0.0
-    expanded_keys: Optional[List] = None
 
     def add_prefixes(self, trace: Trace) -> None:
         for i in range(len(trace) + 1):

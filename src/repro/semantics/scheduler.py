@@ -46,7 +46,7 @@ from ..reduce.symmetry import (
     step_keeps_canonical,
 )
 from .events import Event, Trace
-from .search import NO_SLEEP, BoundedCache, Node, search
+from .search import NO_SLEEP, BoundedCache, Node, SearchStats, search
 from .thread import (
     Frame,
     ThreadState,
@@ -137,70 +137,15 @@ _EXPAND_MEMO_CAP = 1 << 13
 
 
 @dataclass
-class ExplorationResult:
+class ExplorationResult(SearchStats):
+    """The history and observable-trace sets a bounded exploration
+    reached; the search's own bookkeeping is the :class:`SearchStats`
+    it extends (``expanded_keys`` collects ``(config, (hist, obs))``)."""
+
     histories: Set[Trace] = field(default_factory=set)
     observables: Set[Trace] = field(default_factory=set)
     aborted: bool = False
-    bounded: bool = False
-    nodes: int = 0
     terminal_configs: Set[Config] = field(default_factory=set)
-    #: Which engine produced this result ("sequential", "parallel",
-    #: "random-walk"); results from non-exhaustive engines must never be
-    #: read as exhaustive verdicts.
-    engine: str = "sequential"
-    exhaustive: bool = True
-    #: True when the result was served from the persistent memo cache.
-    from_cache: bool = False
-    #: The reduction mode actually in force ("none" / "por" / "por+sym"
-    #: after eligibility filtering — see :mod:`repro.reduce`).
-    reduce: str = "none"
-    #: Why the eligibility scan withheld reductions (empty when nothing
-    #: was withheld) — surfaced by ``render_perf`` and Table 1.
-    reduce_reasons: Tuple[str, ...] = ()
-    #: The step semantics actually used: ``"compiled"`` (transition
-    #: tables, see :mod:`repro.compile`) or ``"interp"`` (AST walker).
-    semantics: str = "interp"
-    #: Why a requested ``"compiled"`` degraded to ``"interp"`` (empty
-    #: when nothing degraded).
-    semantics_reasons: Tuple[str, ...] = ()
-    #: Human-readable exploration diagnostics (e.g. an atomic-loop fuel
-    #: exhaustion cutting a transition); non-empty implies ``bounded``.
-    diagnostics: Tuple[str, ...] = ()
-    #: Perf counters.  ``por_pruned`` counts successor edges partial-order
-    #: reduction skipped; ``sym_merged`` counts successors redirected to a
-    #: canonical address-permutation representative; ``sleep_skipped``
-    #: counts thread expansions skipped by sleep-set POR;
-    #: ``tsym_merged`` counts successors rotated to the canonical
-    #: thread-identity representative; ``reexplored`` counts nodes the
-    #: parallel driver expanded more than once because per-task seen-sets
-    #: cannot share interior states (``nodes`` counts unique expansions,
-    #: so parallel and sequential runs report comparable ``nodes``); the
-    #: dedup pair gives the seen-set hit rate; ``elapsed`` is exploration
-    #: wall-clock.
-    por_pruned: int = 0
-    sym_merged: int = 0
-    sleep_skipped: int = 0
-    tsym_merged: int = 0
-    reexplored: int = 0
-    dedup_hits: int = 0
-    dedup_lookups: int = 0
-    elapsed: float = 0.0
-    #: When a caller binds a list here before ``run_from``, every
-    #: expansion appends its dedup key ``(config, (hist, obs))``; the
-    #: parallel driver digests these (structurally, so the count survives
-    #: pickling) for cross-task expansion dedup.  ``None`` disables the
-    #: collection (the default; sequential runs don't need it).
-    expanded_keys: Optional[List] = None
-
-    @property
-    def nodes_per_sec(self) -> float:
-        return self.nodes / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def dedup_hit_rate(self) -> float:
-        if self.dedup_lookups <= 0:
-            return 0.0
-        return self.dedup_hits / self.dedup_lookups
 
     def add_prefixes(self, trace: Trace) -> None:
         """Record all prefixes of an observable trace (prefix closure)."""

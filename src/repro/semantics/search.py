@@ -11,8 +11,9 @@ It owns
 * the cycle proviso and the rollback of the reduction counters;
 * the depth rule (see :class:`~repro.semantics.scheduler.Limits`);
 * spill/resume: the nodes left when the budget runs out are returned;
-* diagnostics, elapsed time and the dedup counters on the result, and
-  the ``expanded_keys`` collection the parallel driver digests;
+* the :class:`SearchStats` record every decider's result is: node
+  count, diagnostics, elapsed time, the dedup and reduction counters,
+  and the ``expanded_keys`` collection the parallel driver digests;
 * early stop;
 * the replay of repeated expansions: a client whose labels reach one
   configuration many times (explore, keyed on history and trace) hands
@@ -33,6 +34,7 @@ resumed node entirely is always sound).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -41,6 +43,99 @@ Node = Tuple[object, object, int, object]
 
 #: The empty sleep set (shared: most nodes sleep nobody).
 NO_SLEEP: FrozenSet[int] = frozenset()
+
+
+@dataclass
+class SearchStats:
+    """What a search reports about itself, on every decider's result.
+
+    :func:`search` fills the counters in; the decider sets the
+    provenance (which engine, reduction and step semantics ran).  The
+    result types of explore, the Def-2 product, the Fig-11 witness, the
+    abstract explorer and Def-3 refinement subclass this record and add
+    only their own verdict fields.
+    """
+
+    #: Expanded search nodes (unique expansions under the parallel
+    #: driver, so parallel and sequential runs report comparable counts).
+    nodes: int = 0
+    #: True when a bound (depth, node budget, a cut transition) cut the
+    #: search: the verdict then holds up to the bound only.
+    bounded: bool = False
+    #: Human-readable diagnostics (e.g. an atomic-loop fuel exhaustion
+    #: cutting a transition); non-empty implies ``bounded``.
+    diagnostics: Tuple[str, ...] = ()
+    #: Which engine produced this result ("sequential", "parallel",
+    #: "random-walk"); a non-exhaustive engine's result must never be
+    #: read as an exhaustive verdict.
+    engine: str = "sequential"
+    exhaustive: bool = True
+    #: True when the result was served from the persistent memo cache.
+    from_cache: bool = False
+    #: The reduction mode actually in force ("none" / "por" / "por+sym"
+    #: after eligibility filtering — see :mod:`repro.reduce`), and why
+    #: the eligibility scan withheld reductions (empty when nothing was).
+    reduce: str = "none"
+    reduce_reasons: Tuple[str, ...] = ()
+    #: The step semantics actually used: ``"compiled"`` (transition
+    #: tables, see :mod:`repro.compile`) or ``"interp"`` (AST walker),
+    #: and why a requested ``"compiled"`` degraded (empty when nothing
+    #: degraded).
+    semantics: str = "interp"
+    semantics_reasons: Tuple[str, ...] = ()
+    #: Counters.  ``por_pruned`` counts successor edges partial-order
+    #: reduction skipped; ``sym_merged`` counts successors redirected to
+    #: a canonical address-permutation representative; ``sleep_skipped``
+    #: counts thread expansions skipped by sleep-set POR;
+    #: ``tsym_merged`` counts successors rotated to the canonical
+    #: thread-identity representative; ``reexplored`` counts nodes the
+    #: parallel driver expanded more than once because per-task
+    #: seen-sets cannot share interior states; the dedup pair gives the
+    #: seen-set hit rate; ``elapsed`` is search wall-clock.
+    por_pruned: int = 0
+    sym_merged: int = 0
+    sleep_skipped: int = 0
+    tsym_merged: int = 0
+    reexplored: int = 0
+    dedup_hits: int = 0
+    dedup_lookups: int = 0
+    elapsed: float = 0.0
+    #: When a caller binds a list here before the search, every
+    #: expansion appends its dedup key; the parallel driver digests
+    #: these (structurally, so the count survives pickling) for
+    #: cross-task expansion dedup.  ``None`` disables the collection.
+    expanded_keys: Optional[List] = None
+
+    @property
+    def nodes_per_sec(self) -> float:
+        return self.nodes / self.elapsed if self.elapsed > 0 else 0.0
+
+    @property
+    def dedup_hit_rate(self) -> float:
+        if self.dedup_lookups <= 0:
+            return 0.0
+        return self.dedup_hits / self.dedup_lookups
+
+    def add_counters(self, other: "SearchStats") -> None:
+        """Add ``other``'s counters to this record's (``nodes`` is not
+        a counter here: the parallel merge attributes expansions itself)."""
+
+        self.por_pruned += other.por_pruned
+        self.sym_merged += other.sym_merged
+        self.sleep_skipped += other.sleep_skipped
+        self.tsym_merged += other.tsym_merged
+        self.reexplored += other.reexplored
+        self.dedup_hits += other.dedup_hits
+        self.dedup_lookups += other.dedup_lookups
+        self.elapsed += other.elapsed
+
+
+def stats_of(record: SearchStats) -> dict:
+    """``record``'s :class:`SearchStats` fields as keywords: a decider
+    that wraps another's run (definitional Def-2, Def-3 refinement)
+    reports that run's record as its own."""
+
+    return {f.name: getattr(record, f.name) for f in fields(SearchStats)}
 
 
 class BoundedCache(dict):
@@ -75,7 +170,7 @@ class StopSearch(Exception):
     decider found its violation); the search then returns no spill."""
 
 
-def note_diagnostics(result, messages: Sequence[str]) -> None:
+def note_diagnostics(result: SearchStats, messages: Sequence[str]) -> None:
     """Append the ``messages`` not yet in ``result.diagnostics``."""
 
     fresh = [d for d in messages if d not in result.diagnostics]
@@ -83,7 +178,7 @@ def note_diagnostics(result, messages: Sequence[str]) -> None:
         result.diagnostics = result.diagnostics + tuple(fresh)
 
 
-def search(frontier: Sequence[Node], node_budget: int, result,
+def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
            advance: Callable, max_depth: int, *,
            explorer=None,
            pinned: Optional[Callable] = None,

@@ -30,7 +30,9 @@ class Table1Row:
     java_pkg: bool
     hs_book: bool
     verified: bool
-    report: Optional[VerificationReport]
+    #: The full pipeline outcome; the JSON row reads the Definition-2
+    #: check's search record (``report.linearizability``) from it.
+    report: VerificationReport
     seconds: float
     workload: str
     #: True when any exploration behind this verdict was cut by a bound
@@ -41,21 +43,6 @@ class Table1Row:
     engine: str = "sequential"
     #: False when a sampling engine (random-walk) produced the verdict.
     exhaustive: bool = True
-    #: State-space reduction that was *effective* for the Definition-2
-    #: check ("none" when the program is outside the eligible fragment).
-    reduce: str = "none"
-    #: Performance counters of the Definition-2 product exploration.
-    nodes: int = 0
-    nodes_per_sec: float = 0.0
-    por_pruned: int = 0
-    sym_merged: int = 0
-    sleep_skipped: int = 0
-    tsym_merged: int = 0
-    reexplored: int = 0
-    dedup_hit_rate: float = 0.0
-    #: Why the reductions were (partially) held back, from the
-    #: eligibility scan — empty when fully reduced.
-    reduce_reasons: Tuple[str, ...] = ()
     #: Static-analysis diagnostic keys (``source:method:code``) from the
     #: instrumentation linter and the race lint.  Empty for every
     #: verified Table-1 algorithm; non-empty flags a row whose
@@ -87,22 +74,11 @@ def verify_row(name: str, limits: Optional[Limits] = None,
     start = time.perf_counter()
     report = alg.verify(limits=limits, engine=engine)
     elapsed = time.perf_counter() - start
-    lin = report.linearizability
     return Table1Row(
-        reduce=getattr(lin, "reduce", "none"),
-        reduce_reasons=tuple(getattr(lin, "reduce_reasons", ())),
         diagnostics=tuple(sorted(d.key()
                                  for d in analysis.diagnostics)),
         lp_discipline=inference.discipline,
         source=alg.source,
-        nodes=lin.nodes_explored,
-        nodes_per_sec=getattr(lin, "nodes_per_sec", 0.0),
-        por_pruned=getattr(lin, "por_pruned", 0),
-        sym_merged=getattr(lin, "sym_merged", 0),
-        sleep_skipped=getattr(lin, "sleep_skipped", 0),
-        tsym_merged=getattr(lin, "tsym_merged", 0),
-        reexplored=getattr(lin, "reexplored", 0),
-        dedup_hit_rate=getattr(lin, "dedup_hit_rate", 0.0),
         name=alg.name,
         display_name=alg.display_name,
         helping=alg.helping,
@@ -180,10 +156,18 @@ def render_table1(rows: Sequence[Table1Row], timings: bool = True) -> str:
 
 
 def table1_json(rows: Sequence[Table1Row]) -> List[dict]:
-    """Machine-readable rows (for benchmark artifacts and CI smoke)."""
+    """Machine-readable rows (for benchmark artifacts and CI smoke).
 
-    return [
-        {
+    The reduction and perf fields are the Definition-2 check's
+    :class:`~repro.semantics.search.SearchStats`: ``reduce`` is the mode
+    that was *effective* ("none" outside the eligible fragment) and
+    ``reduce_reasons`` why the eligibility scan held reductions back.
+    """
+
+    out = []
+    for row in rows:
+        lin = row.report.linearizability
+        out.append({
             "name": row.name,
             "display_name": row.display_name,
             "helping": row.helping,
@@ -196,22 +180,21 @@ def table1_json(rows: Sequence[Table1Row]) -> List[dict]:
             "exhaustive": row.exhaustive,
             "seconds": row.seconds,
             "workload": row.workload,
-            "reduce": row.reduce,
-            "nodes": row.nodes,
-            "nodes_per_sec": round(row.nodes_per_sec, 1),
-            "por_pruned": row.por_pruned,
-            "sym_merged": row.sym_merged,
-            "sleep_skipped": row.sleep_skipped,
-            "tsym_merged": row.tsym_merged,
-            "reexplored": row.reexplored,
-            "dedup_hit_rate": round(row.dedup_hit_rate, 4),
-            "reduce_reasons": list(row.reduce_reasons),
+            "reduce": lin.reduce,
+            "nodes": lin.nodes,
+            "nodes_per_sec": round(lin.nodes_per_sec, 1),
+            "por_pruned": lin.por_pruned,
+            "sym_merged": lin.sym_merged,
+            "sleep_skipped": lin.sleep_skipped,
+            "tsym_merged": lin.tsym_merged,
+            "reexplored": lin.reexplored,
+            "dedup_hit_rate": round(lin.dedup_hit_rate, 4),
+            "reduce_reasons": list(lin.reduce_reasons),
             "diagnostics": list(row.diagnostics),
             "lp_discipline": row.lp_discipline,
             "source": row.source,
-        }
-        for row in rows
-    ]
+        })
+    return out
 
 
 #: The paper's Table 1 feature matrix, for cross-checking our registry.

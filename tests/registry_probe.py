@@ -54,7 +54,7 @@ from repro.semantics.scheduler import explore
 
 RACY = "racy_counter"
 THREADS, OPS = 2, 1
-#: Result counters every search reports (absent ones read as 0).
+#: The SearchStats counters every decider's result carries.
 COUNTERS = ("por_pruned", "sym_merged", "sleep_skipped", "tsym_merged",
             "dedup_hits", "dedup_lookups")
 
@@ -80,13 +80,13 @@ def digest(traces) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _search(result, nodes) -> dict:
-    return {"nodes": nodes, "bounded": result.bounded,
-            **{k: getattr(result, k, 0) for k in COUNTERS}}
+def _search(result) -> dict:
+    return {"nodes": result.nodes, "bounded": result.bounded,
+            **{k: getattr(result, k) for k in COUNTERS}}
 
 
 def _explore(result) -> dict:
-    return {**_search(result, result.nodes),
+    return {**_search(result),
             "histories": digest(result.histories),
             "observables": digest(result.observables),
             "aborted": result.aborted,
@@ -95,7 +95,7 @@ def _explore(result) -> dict:
 
 
 def witness_record(result) -> dict:
-    return {**_search(result, result.nodes), "ok": result.ok,
+    return {**_search(result), "ok": result.ok,
             "histories": digest(result.histories),
             "failures": [[f.kind, f.message, repr(f.history)]
                          for f in result.failures],
@@ -125,7 +125,7 @@ def probe_one(name: str) -> dict:
             explore(program, engine="sequential+interp")),
     }
     product = check_program_linearizable(program, alg.spec, alg.limits)
-    out["product"] = {**_search(product, product.nodes), "ok": product.ok,
+    out["product"] = {**_search(product), "ok": product.ok,
                       "histories": digest(product.histories),
                       "counterexample": repr(product.counterexample)}
     definitional = check_program_linearizable_definitional(

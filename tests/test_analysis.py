@@ -59,6 +59,7 @@ from repro.reduce import SYM_STRIDE, scan_program
 from repro.semantics.events import ReturnEvent
 from repro.semantics.mgc import mgc_program
 from repro.semantics.scheduler import Limits, explore
+from repro.semantics.search import SearchStats
 
 
 def _program_for(name, threads=2, ops=1):
@@ -423,28 +424,16 @@ def test_eligible_program_has_empty_reasons():
 
 
 def test_render_perf_zero_elapsed_memo_hit():
-    class R:
-        nodes = 0
-        elapsed = 0.0
-        from_cache = True
-
-    text = render_perf(R())
+    text = render_perf(SearchStats(nodes=0, elapsed=0.0, from_cache=True))
     assert "memo-hit" in text
     assert "nodes/sec" not in text  # and no ZeroDivisionError
 
 
 def test_render_perf_counters_and_reasons():
-    class R:
-        nodes = 100
-        elapsed = 2.0
-        dedup_lookups = 10
-        dedup_hits = 5
-        reduce = "por"
-        por_pruned = 3
-        sym_merged = 0
-        reduce_reasons = ("dispose without quarantine",)
-
-    text = render_perf(R())
+    text = render_perf(SearchStats(
+        nodes=100, elapsed=2.0, dedup_lookups=10, dedup_hits=5,
+        reduce="por", por_pruned=3, sym_merged=0,
+        reduce_reasons=("dispose without quarantine",)))
     assert "nodes/sec=50" in text
     assert "dedup-hit-rate=50.0%" in text
     assert "por-pruned=3" in text

@@ -170,7 +170,7 @@ def test_registry_verdicts_equal(name):
     assert compiled.bounded == interp.bounded
     assert compiled.aborted == interp.aborted
     assert compiled.histories_checked == interp.histories_checked
-    assert compiled.nodes_explored == interp.nodes_explored
+    assert compiled.nodes == interp.nodes
     assert compiled.counterexample == interp.counterexample
 
 
@@ -414,6 +414,18 @@ def test_fuel_diagnostics_survive_expansion_replay(monkeypatch):
     assert replayed[2][:2] == (True, True)
     monkeypatch.setattr(scheduler_mod, "_EXPAND_MEMO_CAP", 0)
     assert _divergent_runs(monkeypatch) == replayed
+
+
+def test_refinement_cut_by_fuel_carries_the_diagnostic():
+    """A refinement whose concrete side the atomic-loop fuel cut says
+    why it is bounded, as the exploration it ran does."""
+
+    clients = tuple(printing_client(_SPIN_MENU, 1, prefix=f"t{t}")
+                    for t in (1, 2))
+    refines = check_clients_refinement(_divergent_impl(), _spin_spec(),
+                                       clients, private_client_vars=True)
+    assert refines.bounded
+    assert refines.diagnostics and "fuel" in refines.diagnostics[0]
 
 
 def test_expansion_noting_a_diagnostic_is_not_memoized():

@@ -24,7 +24,10 @@ from repro.engine import (
     memo_key,
     resolve_engine,
 )
-from repro.history.object_lin import check_object_linearizable
+from repro.history.object_lin import (
+    check_object_linearizable,
+    check_program_linearizable_definitional,
+)
 from repro.memory.store import Store
 from repro.semantics.mgc import mgc_program
 from repro.semantics.scheduler import Limits, explore, initial_config
@@ -81,8 +84,25 @@ def test_env_var_selects_cache_dir(tmp_path, monkeypatch):
     second = check_object_linearizable(*args, engine="sequential+memo", **kw)
     assert second.from_cache
     assert second.ok == first.ok
-    assert second.nodes_explored == first.nodes_explored
+    assert second.nodes == first.nodes
     assert second.histories_checked == first.histories_checked
+
+
+def test_definitional_memo_hit_reports_from_cache(tmp_path):
+    """The definitional Def-2 check reports the explore run it wraps —
+    a memo hit included."""
+
+    alg = get_algorithm("pair_snapshot")
+    program = mgc_program(alg.impl, alg.workload.menu, threads=2,
+                          ops_per_thread=1)
+    spec = EngineSpec(memo=True, cache_dir=str(tmp_path))
+    first = check_program_linearizable_definitional(program, alg.spec,
+                                                    alg.limits, engine=spec)
+    second = check_program_linearizable_definitional(program, alg.spec,
+                                                     alg.limits, engine=spec)
+    assert not first.from_cache
+    assert second.from_cache
+    assert second.ok == first.ok and second.nodes == first.nodes
 
 
 def test_parallel_and_sequential_share_entries(tmp_path):

@@ -199,7 +199,7 @@ def deciders():
 
     def product(limits):
         r = check_program_linearizable(program, alg.spec, limits)
-        return r.nodes_explored, r.bounded
+        return r.nodes, r.bounded
 
     def witness(limits):
         r = verify_instrumented(alg.instrumented, menu, 2, 1, limits,

@@ -331,6 +331,50 @@ def test_cli_infer_named_subset_against_full_baseline(tmp_path, capsys):
     assert "inference drift in treiber" in out
 
 
+def test_cli_infer_names_a_builtin_extra(capsys):
+    """``infer racy_counter`` resolves the name among the builtin extra
+    targets and gives the full run's record: uninferable, with its
+    reason."""
+
+    from repro.analysis.__main__ import _infer_map, _infer_targets, main
+
+    full = _infer_map(_infer_targets([]))
+    assert _infer_map(_infer_targets(["racy_counter"])) == {
+        "racy_counter": full["racy_counter"]}
+    assert full["racy_counter"]["discipline"] == "uninferable"
+    rc = main(["infer", "racy_counter"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "racy_counter: uninferable — inc: racy read-modify-write" in out
+
+
+def test_cli_lint_names_a_builtin_extra(capsys):
+    """``lint racy_counter`` resolves the name among the builtin extra
+    targets and gives the full run's report: the race diagnostic fires."""
+
+    from repro.analysis import analyze_all
+    from repro.analysis.__main__ import main
+
+    (full,) = [r for r in analyze_all() if r.name == "racy_counter"]
+    (named,) = analyze_all(["racy_counter"])
+    assert named.to_json() == full.to_json()
+    assert "races:inc:unsynchronized-rmw" in {d.key()
+                                              for d in named.diagnostics}
+    rc = main(["lint", "racy_counter"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "[races:unsynchronized-rmw] inc:" in out
+
+
+def test_cli_unknown_target_lists_both_sets():
+    from repro.analysis import analyze_all
+    from repro.errors import ReproError
+
+    with pytest.raises(ReproError) as err:
+        analyze_all(["no_such_object"])
+    assert "treiber" in str(err.value) and "racy_counter" in str(err.value)
+
+
 def test_cli_lint_strict_fails_on_resolved(tmp_path, capsys):
     """The ``lint`` subcommand is strict: a *resolved* baseline entry
     (stale pin) fails the run, where the legacy bare invocation only

@@ -14,18 +14,18 @@ class TestConcreteObservables:
         clients = (seq(Call("r", "inc", Const(0)), Print(Var("r")),
                        Call("s", "inc", Const(0)), Print(Var("s"))),)
         obs = concrete_observables(atomic_counter_impl(), clients)
-        for trace in obs.traces:
-            assert trace[:-1] in obs.traces or trace == ()
+        for trace in obs.observables:
+            assert trace[:-1] in obs.observables or trace == ()
 
     def test_silent_client_has_empty_trace_only(self):
         clients = (Call("r", "inc", Const(0)),)
         obs = concrete_observables(atomic_counter_impl(), clients)
-        assert obs.traces == {()}
+        assert obs.observables == {()}
 
     def test_output_values(self):
         clients = (seq(Call("r", "read", Const(0)), Print(Var("r"))),)
         obs = concrete_observables(register_impl(), clients)
-        assert (OutputEvent(1, 0),) in obs.traces
+        assert (OutputEvent(1, 0),) in obs.observables
 
 
 class TestAbstractObservables:
@@ -34,7 +34,7 @@ class TestAbstractObservables:
                    seq(Call("s", "inc", Const(0)), Print(Var("s"))))
         conc = concrete_observables(atomic_counter_impl(), clients)
         abst = abstract_observables(counter_spec(), clients)
-        assert conc.traces == abst.traces
+        assert conc.observables == abst.observables
 
     def test_abstract_is_much_smaller(self):
         clients = (seq(Call("r", "inc", Const(0)), Print(Var("r"))),

@@ -41,17 +41,18 @@ class TestTable1Tooling:
 
         row = verify_row("treiber", Limits(4000, 1_000_000))
         assert row.verified
-        assert row.reduce == "por+sym+tsym"
-        assert row.nodes > 0 and row.nodes_per_sec > 0
-        assert row.por_pruned + row.sym_merged > 0
+        lin = row.report.linearizability
+        assert lin.reduce == "por+sym+tsym"
+        assert lin.nodes > 0 and lin.nodes_per_sec > 0
+        assert lin.por_pruned + lin.sym_merged > 0
         payload = table1_json([row])[0]
         assert payload["reduce"] == "por+sym+tsym"
-        assert payload["nodes"] == row.nodes
-        assert payload["por_pruned"] == row.por_pruned
-        assert payload["sym_merged"] == row.sym_merged
-        assert payload["sleep_skipped"] == row.sleep_skipped
-        assert payload["tsym_merged"] == row.tsym_merged
-        assert payload["reexplored"] == row.reexplored
+        assert payload["nodes"] == lin.nodes
+        assert payload["por_pruned"] == lin.por_pruned
+        assert payload["sym_merged"] == lin.sym_merged
+        assert payload["sleep_skipped"] == lin.sleep_skipped
+        assert payload["tsym_merged"] == lin.tsym_merged
+        assert payload["reexplored"] == lin.reexplored
         assert 0.0 <= payload["dedup_hit_rate"] <= 1.0
 
 
