@@ -39,12 +39,6 @@ from ..reduce.policy import (
     REDUCE_POR_SYM_TSYM,
 )
 
-#: Environment override consulted when no ``engine=`` argument is given
-#: (e.g. ``REPRO_ENGINE=sequential+interp`` forces the AST-walking
-#: semantics across a whole test run).  Any string ``resolve_engine``
-#: accepts is valid.
-ENV_ENGINE = "REPRO_ENGINE"
-
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
 RANDOM_WALK = "random-walk"
@@ -155,12 +149,11 @@ SEQUENTIAL_SPEC = EngineSpec(SEQUENTIAL)
 
 
 def resolve_engine(engine: Engine) -> EngineSpec:
-    """Normalise an ``engine=`` argument to an :class:`EngineSpec`."""
+    """Normalise an ``engine=`` argument to an :class:`EngineSpec`
+    (``None`` is the sequential engine)."""
 
     if engine is None:
-        engine = os.environ.get(ENV_ENGINE) or None
-        if engine is None:
-            return SEQUENTIAL_SPEC
+        return SEQUENTIAL_SPEC
     if isinstance(engine, EngineSpec):
         return engine
     if isinstance(engine, str):

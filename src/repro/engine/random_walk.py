@@ -22,6 +22,7 @@ reproduce the same result exactly.
 from __future__ import annotations
 
 import random
+from time import perf_counter
 from typing import Optional
 
 from ..semantics.scheduler import (
@@ -30,6 +31,7 @@ from ..semantics.scheduler import (
     Limits,
     Program,
 )
+from ..semantics.search import Expansion, SearchStats, note_diagnostics
 
 
 def random_walk_explore(program: Program, limits: Optional[Limits] = None,
@@ -49,6 +51,7 @@ def random_walk_explore(program: Program, limits: Optional[Limits] = None,
     limits = explorer.limits
     rng = random.Random(seed)
     result = explorer.new_result(engine="random-walk", exhaustive=False)
+    started = perf_counter()
     starts = explorer.start_nodes()
     if not starts:
         return result
@@ -57,7 +60,7 @@ def random_walk_explore(program: Program, limits: Optional[Limits] = None,
         config, (hist, obs), depth, _key = starts[rng.randrange(len(starts))]
         while True:
             result.nodes += 1
-            successors = explorer._expand(config)
+            successors = _keep(result, explorer._expand(config))
             if not successors:
                 result.add_prefixes(obs)
                 result.terminal_configs.add(config)
@@ -79,10 +82,17 @@ def random_walk_explore(program: Program, limits: Optional[Limits] = None,
                 break
             config = next_config
             depth += 1
-    if explorer.diagnostics:
-        result.bounded = True
-        result.diagnostics = tuple(explorer.diagnostics)
+    result.elapsed = perf_counter() - started
     return result
+
+
+def _keep(result: SearchStats, expansion: Expansion) -> tuple:
+    """Charge a walk step's expansion to ``result``, note its cuts, and
+    return its successors."""
+
+    result.charge(expansion)
+    note_diagnostics(result, expansion.cuts)
+    return expansion.successors
 
 
 def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
@@ -99,15 +109,24 @@ def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
 
     product = ProductSearch(program, spec, limits, theta, reduce=reduce,
                             semantics=semantics)
+    out = product.new_result(engine="random-walk", exhaustive=False)
+    started = perf_counter()
+    _walk_product(product, out, walks, seed)
+    out.histories_checked = len(out.histories)
+    out.elapsed = perf_counter() - started
+    return out
+
+
+def _walk_product(product, out, walks: int, seed: int) -> None:
+    """The walks of :func:`random_walk_lin`; a violation ends them."""
+
     explorer, monitor, limits = (product.explorer, product.monitor,
                                  product.limits)
     rng = random.Random(seed)
-    out = product.new_result(engine="random-walk", exhaustive=False)
     distinct = out.histories
     starts = explorer.initial_nodes()
     if not starts:
-        out.histories_checked = len(distinct)
-        return out
+        return
     states0 = product.states0
 
     for _ in range(walks):
@@ -117,7 +136,7 @@ def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
         depth = 0
         while True:
             out.nodes += 1
-            successors = explorer._expand(config)
+            successors = _keep(out, explorer._expand(config))
             if not successors:
                 break
             if depth >= limits.max_depth:
@@ -133,39 +152,44 @@ def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
                 # fault as an empty Σ (see ``product_run_from``).
                 out.aborted = True
                 if object_event:
-                    return _walk_violation(out, hist, "object code aborted")
+                    _walk_violation(out, hist, "object code aborted")
+                    return
                 break
             if object_event:
                 states = monitor.step(states, event)
                 if not states:
-                    return _walk_violation(
+                    _walk_violation(
                         out, hist, "history has no legal linearization")
+                    return
             config = next_config
             depth += 1
-    out.histories_checked = len(distinct)
-    if explorer.diagnostics:
-        out.bounded = True
-        out.diagnostics = tuple(explorer.diagnostics)
-    return out
 
 
-def _walk_violation(out, hist, reason: str):
+def _walk_violation(out, hist, reason: str) -> None:
     out.ok = False
     out.counterexample = hist
     out.reason = reason
-    out.histories_checked = len(out.histories)
-    return out
 
 
 def random_walk_instrumented(runner, walks: int = 256, seed: int = 0):
     """Sampled instrumented-obligation check over one runner workload."""
 
-    rng = random.Random(seed)
     result = runner.new_result(engine="random-walk", exhaustive=False)
+    started = perf_counter()
+    _walk_witness(runner, result, walks, seed)
+    result.ok = not result.failures
+    result.elapsed = perf_counter() - started
+    return result
+
+
+def _walk_witness(runner, result, walks: int, seed: int) -> None:
+    """The walks of :func:`random_walk_instrumented`; a bad start (its
+    failure recorded) or ``max_failures`` failures end them."""
+
     start = runner.initial_config(result)
     if start is None:
-        result.ok = False
-        return result
+        return
+    rng = random.Random(seed)
     limits = runner.limits
 
     for _ in range(walks):
@@ -183,8 +207,7 @@ def random_walk_instrumented(runner, walks: int = 256, seed: int = 0):
                 break
             if len(result.failures) > before and \
                     len(result.failures) >= runner.max_failures:
-                result.ok = False
-                return result
+                return
             live = []
             for nxt, event in successors:
                 new_hist = hist + (event,) if event is not None else hist
@@ -196,5 +219,3 @@ def random_walk_instrumented(runner, walks: int = 256, seed: int = 0):
                 break
             config, hist = live[rng.randrange(len(live))]
             depth += 1
-    result.ok = not result.failures
-    return result

@@ -27,7 +27,7 @@ from .events import (
     Trace,
 )
 from .scheduler import Limits
-from .search import SearchStats, search
+from .search import SearchStats, note_diagnostics, search
 from .thread import (
     ThreadState,
     expand_until_visible,
@@ -79,8 +79,6 @@ class AbstractExplorer:
         self.program = program
         self.spec = program.spec
         self.limits = limits or Limits()
-        self.diagnostics: List[str] = []
-        self._diag_seen: Set[str] = set()
 
     def run(self) -> AbsExplorationResult:
         """The exact bounded search (:func:`~repro.semantics.search.search`
@@ -113,8 +111,7 @@ class AbstractExplorer:
 
         if search(frontier, self.limits.max_nodes, result, advance,
                   self.limits.max_depth,
-                  expand=lambda config, _label: self._expand(config),
-                  diagnostics=self.diagnostics):
+                  expand=lambda config, _label: self._expand(config, result)):
             result.bounded = True
         return result
 
@@ -139,8 +136,11 @@ class AbstractExplorer:
             configs = nxt
         return configs
 
-    def _expand(self, config: AbsConfig) -> List[
-            Tuple[Optional["AbsConfig"], Tuple[Event, ...]]]:
+    def _expand(self, config: AbsConfig, result: AbsExplorationResult
+                ) -> List[Tuple[Optional["AbsConfig"], Tuple[Event, ...]]]:
+        """The successors of ``config``; a cut transition is noted on
+        ``result``, the run that met it."""
+
         out: List[Tuple[Optional[AbsConfig], Tuple[Event, ...]]] = []
         for idx, tstate in enumerate(config.threads):
             tid = idx + 1
@@ -156,10 +156,7 @@ class AbstractExplorer:
             except AtomicLoopDivergence as exc:
                 # Divergent atomic block: the transition is cut, but the
                 # truncation is surfaced instead of dropped silently.
-                message = f"thread {tid}: {exc}"
-                if message not in self._diag_seen:
-                    self._diag_seen.add(message)
-                    self.diagnostics.append(message)
+                note_diagnostics(result, (f"thread {tid}: {exc}",))
                 continue
             except BoundExceeded:
                 continue

@@ -46,7 +46,14 @@ from ..reduce.symmetry import (
     step_keeps_canonical,
 )
 from .events import Event, Trace
-from .search import NO_SLEEP, BoundedCache, Node, SearchStats, search
+from .search import (
+    NO_SLEEP,
+    BoundedCache,
+    Expansion,
+    Node,
+    SearchStats,
+    search,
+)
 from .thread import (
     Frame,
     ThreadState,
@@ -191,16 +198,6 @@ class Explorer:
         self.policy = resolve_policy(program, reduce)
         self.interner: Optional[Interner] = (
             Interner() if self.policy.intern else None)
-        # Reduction counters, accumulated across run_from calls; the
-        # per-call deltas are transferred into each result.
-        self.por_pruned = 0
-        self.sym_merged = 0
-        self.sleep_skipped = 0
-        self.tsym_merged = 0
-        #: Exploration diagnostics (deduplicated, e.g. atomic-loop fuel
-        #: cuts); transferred into each result by ``run_from``.
-        self.diagnostics: List[str] = []
-        self._diag_seen: Set[str] = set()
 
         if semantics is None:
             semantics = DEFAULT_SEMANTICS
@@ -404,12 +401,6 @@ class Explorer:
                                      self.policy.alloc)))
         return hit
 
-    def _note_divergence(self, tid: int, exc: BaseException) -> None:
-        message = f"thread {tid}: {exc}"
-        if message not in self._diag_seen:
-            self._diag_seen.add(message)
-            self.diagnostics.append(message)
-
     def _template_of(self, config: "Config", tid: int):
         """Static footprint template of thread ``tid``'s next step.
 
@@ -479,7 +470,8 @@ class Explorer:
 
         Under ``por+sym`` each initial configuration is first replaced by
         the canonical representative of its address-permutation class, so
-        symmetric initial configurations dedup to one node.
+        symmetric initial configurations dedup to one node (no result
+        counts these merges: ``sym_merged`` counts successors).
         """
 
         nodes: List[ExploreNode] = []
@@ -487,9 +479,7 @@ class Explorer:
         label = ((), ())
         for start in self.initial_nodes():
             if self.policy.sym:
-                start, changed = canonicalize_config(start, Store)
-                if changed:
-                    self.sym_merged += 1
+                start, _changed = canonicalize_config(start, Store)
             if self.interner is not None:
                 start = self.interner.config(start)
             key = (start, label)
@@ -553,20 +543,15 @@ class Explorer:
     def _expand(self, config: Config, full: bool = False,
                 sleep: FrozenSet[int] = NO_SLEEP,
                 tsym_k: Optional[int] = None,
-                memo: Optional[BoundedCache] = None
-                ) -> Sequence[Tuple[Optional[Config], Optional[Event]]]:
-        """:meth:`_successors` of ``config``, replayed from ``memo``.
+                memo: Optional[BoundedCache] = None) -> Expansion:
+        """The :class:`~repro.semantics.search.Expansion` of ``config``
+        (see :meth:`_successors`), replayed from ``memo``.
 
         An expansion reads nothing but ``(config, full, sleep, tsym_k)``
-        and the explorer's fixed policy, so ``memo`` is keyed on exactly
-        these.  It stores the successors, their sleep sets, the
-        ``last_expand_reduced`` / ``_last_pruned`` / ``_last_slept``
-        record and the ``sym_merged`` / ``tsym_merged`` deltas; a hit
-        restores the record and re-applies every counter delta, so the
-        counters, the sleep-wake re-expansion and the cycle-proviso
-        rollback are those of a fresh expansion.  An expansion that
-        noted a new diagnostic (or raised) is not stored: it runs again
-        on the next visit.
+        and the explorer's fixed policy, and it is a value — successors,
+        sleep sets, whether POR reduced, its counts and its cuts — so
+        ``memo`` stores the record itself, keyed on exactly these; a hit
+        is the fresh expansion.  An expansion that raised is not stored.
         """
 
         if memo is None:
@@ -574,31 +559,14 @@ class Explorer:
         key = (config, full, sleep, tsym_k)
         hit = memo.get(key)
         if hit is None:
-            noted = len(self.diagnostics)
-            merged, tmerged = self.sym_merged, self.tsym_merged
-            out = tuple(self._successors(config, full, sleep, tsym_k))
-            if len(self.diagnostics) == noted:
-                sleeps = self._succ_sleeps
-                memo.put(key, (
-                    out, None if sleeps is None else tuple(sleeps),
-                    self.last_expand_reduced, self._last_pruned,
-                    self._last_slept, self.sym_merged - merged,
-                    self.tsym_merged - tmerged))
-            return out
-        (out, self._succ_sleeps, self.last_expand_reduced, pruned, slept,
-         merged, tmerged) = hit
-        self._last_pruned = pruned
-        self._last_slept = slept
-        self.por_pruned += pruned
-        self.sleep_skipped += slept
-        self.sym_merged += merged
-        self.tsym_merged += tmerged
-        return out
+            hit = memo.put(key, self._successors(config, full, sleep, tsym_k))
+        return hit
 
     def _successors(self, config: Config, full: bool,
                     sleep: FrozenSet[int], tsym_k: Optional[int]
-                    ) -> List[Tuple[Optional[Config], Optional[Event]]]:
-        """All successor (configuration, event) pairs of ``config``.
+                    ) -> Expansion:
+        """All successor (configuration, event) pairs of ``config``, as
+        an :class:`~repro.semantics.search.Expansion`.
 
         With partial-order reduction active (and ``full`` false), if some
         thread's next step is invisible — no event, cannot abort — and
@@ -628,17 +596,8 @@ class Explorer:
         policy = self.policy
         por = policy.por and not full
         sleep_on = self._sleep and not full
-        # What the search reads back after this call: whether POR pruned
-        # (the cycle proviso then applies), how much this call added to
-        # ``por_pruned`` / ``sleep_skipped`` (so a re-expansion rolls back
-        # exactly this node's accounting), and the successors' sleep sets
-        # (aligned with the returned list; ``None`` with sleep sets off).
-        self.last_expand_reduced = False
-        self._last_pruned = 0
-        self._last_slept = 0
-        self._succ_sleeps = None
-
-        slept = 0
+        slept = pruned = merged = tmerged = 0
+        cuts: Tuple[str, ...] = ()
         per_thread: List[Tuple[int, tuple]] = []
         for idx, tstate in enumerate(config.threads):
             tid = idx + 1
@@ -654,16 +613,13 @@ class Explorer:
             except AtomicLoopDivergence as exc:
                 # Divergent atomic block: cut this transition, but
                 # surface the truncation instead of dropping it silently.
-                self._note_divergence(tid, exc)
+                cuts += (f"thread {tid}: {exc}",)
                 continue
             except BoundExceeded:
                 # Any other bound inside a step: treat as a cut.
                 continue
             if succs:
                 per_thread.append((idx, succs))
-        if slept:
-            self.sleep_skipped += slept
-            self._last_slept = slept
 
         if por and len(per_thread) > 1:
             owner = None
@@ -690,9 +646,6 @@ class Explorer:
             if chosen is not None:
                 pruned = sum(len(ocs) for i, ocs in per_thread
                              if i != chosen[0])
-                self.por_pruned += pruned
-                self._last_pruned = pruned
-                self.last_expand_reduced = True
                 per_thread = [chosen]
 
         out: List[Tuple[Optional[Config], Optional[Event]]] = []
@@ -700,7 +653,6 @@ class Explorer:
         awake: Set[int] = set()
         if sleep_on:
             succ_sleeps = []
-            self._succ_sleeps = succ_sleeps
             # Sleep candidates carried into every successor: the node's
             # own sleepers, joined below by already-expanded siblings.
             awake = set(sleep)
@@ -777,7 +729,7 @@ class Explorer:
                             event = replace(event, thread=tsym_k + 1)
                             rotated = True
                             if pchanged:
-                                self.tsym_merged += 1
+                                tmerged += 1
                     if sym:
                         canonical = False
                         if keeps and not rotated:
@@ -799,7 +751,7 @@ class Explorer:
                             next_config, changed = self._canonical(
                                 next_config)
                             if changed:
-                                self.sym_merged += 1
+                                merged += 1
                     if interner is not None:
                         next_config = interner.config(next_config)
                     out.append((next_config, event))
@@ -815,7 +767,9 @@ class Explorer:
                 # then this) order is equivalent to the (this then
                 # sibling) order just scheduled for exploration).
                 awake.add(tid)
-        return out
+        return Expansion(
+            tuple(out), None if succ_sleeps is None else tuple(succ_sleeps),
+            pruned > 0, pruned, slept, merged, tmerged, cuts)
 
 
 def explore(program: Program, limits: Optional[Limits] = None,

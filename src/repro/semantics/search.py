@@ -8,7 +8,10 @@ It owns
 
 * the stack and the node budget, charged exactly on expansion;
 * the seen-dict and, under sleep-set POR, the sleep sets it stores;
-* the cycle proviso and the rollback of the reduction counters;
+* the sleep-wake and cycle-proviso re-expansions, and the charging of
+  the reduction counts: the explorer hands back each expansion as an
+  :class:`Expansion` value, and the search charges a node with the one
+  it keeps and notes the cuts of every one it computed;
 * the depth rule (see :class:`~repro.semantics.scheduler.Limits`);
 * spill/resume: the nodes left when the budget runs out are returned;
 * the :class:`SearchStats` record every decider's result is: node
@@ -18,9 +21,9 @@ It owns
 * the replay of repeated expansions: a client whose labels reach one
   configuration many times (explore, keyed on history and trace) hands
   in an ``expand_memo``, and a node whose configuration and reduction
-  context were expanded before replays the stored successors, sleep
-  sets and counter deltas.  The Def-2 product passes none: a memo
-  there cost peak memory and saved no time when it was sized.
+  context were expanded before replays the stored :class:`Expansion`.
+  The Def-2 product passes none: a memo there cost peak memory and
+  saved no time when it was sized.
 
 A client supplies how a successor's event advances its *label* (the
 part of a node beyond the configuration: history and trace, monitor
@@ -36,7 +39,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from time import perf_counter
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 #: A search node: (configuration, label, depth, dedup key).
 Node = Tuple[object, object, int, object]
@@ -116,6 +127,14 @@ class SearchStats:
             return 0.0
         return self.dedup_hits / self.dedup_lookups
 
+    def charge(self, expansion: "Expansion") -> None:
+        """Add a kept expansion's reduction counts to this record."""
+
+        self.por_pruned += expansion.pruned
+        self.sym_merged += expansion.sym_merged
+        self.sleep_skipped += expansion.slept
+        self.tsym_merged += expansion.tsym_merged
+
     def add_counters(self, other: "SearchStats") -> None:
         """Add ``other``'s counters to this record's (``nodes`` is not
         a counter here: the parallel merge attributes expansions itself)."""
@@ -128,6 +147,35 @@ class SearchStats:
         self.dedup_hits += other.dedup_hits
         self.dedup_lookups += other.dedup_lookups
         self.elapsed += other.elapsed
+
+
+class Expansion(NamedTuple):
+    """One node's expansion by
+    :meth:`~repro.semantics.scheduler.Explorer._expand`, as a value.
+
+    It describes the expansion that produced it and nothing else, so a
+    memo can replay it and a run charges exactly the expansions it keeps
+    (:meth:`SearchStats.charge`).
+    """
+
+    #: ``(next_config, event)`` pairs; ``next_config`` is ``None`` for
+    #: an aborted step.
+    successors: tuple
+    #: The successors' sleep sets, aligned with ``successors`` (``None``
+    #: with sleep sets off).
+    sleeps: Optional[tuple]
+    #: True when POR expanded one thread only (the cycle proviso applies).
+    reduced: bool
+    #: Successor edges POR skipped, and threads skipped asleep.
+    pruned: int
+    slept: int
+    #: Successors redirected to a canonical address-permutation
+    #: representative, and successors rotated to a different canonical
+    #: thread-identity representative.
+    sym_merged: int
+    tsym_merged: int
+    #: One diagnostic per transition the expansion cut (atomic-loop fuel).
+    cuts: Tuple[str, ...]
 
 
 def stats_of(record: SearchStats) -> dict:
@@ -171,8 +219,11 @@ class StopSearch(Exception):
 
 
 def note_diagnostics(result: SearchStats, messages: Sequence[str]) -> None:
-    """Append the ``messages`` not yet in ``result.diagnostics``."""
+    """Append the ``messages`` not yet in ``result.diagnostics``.  A
+    diagnostic reports a cut transition, so ``result`` is then bounded."""
 
+    if messages:
+        result.bounded = True
     fresh = [d for d in messages if d not in result.diagnostics]
     if fresh:
         result.diagnostics = result.diagnostics + tuple(fresh)
@@ -186,7 +237,6 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
            terminal: Optional[Callable] = None,
            cut: Optional[Callable] = None,
            done: Optional[Callable] = None,
-           diagnostics: Optional[List[str]] = None,
            expand_memo: Optional[BoundedCache] = None) -> List[Node]:
     """Expand up to ``node_budget`` nodes from ``frontier``.
 
@@ -204,28 +254,22 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
     ``(next_label, next_key)``, or ``None`` to drop the successor; it
     may raise :class:`StopSearch`.
 
-    Successors come from ``explorer._expand`` when an
-    :class:`~repro.semantics.scheduler.Explorer` is given — with its
-    sleep sets, thread-identity rotation (``pinned(label)`` names the
+    Successors come from the :class:`Expansion` of ``explorer._expand``
+    when an :class:`~repro.semantics.scheduler.Explorer` is given — with
+    its sleep sets, thread-identity rotation (``pinned(label)`` names the
     threads whose identity an event already fixed) and the cycle
-    proviso — and from ``expand(config, label)`` otherwise.
+    proviso — and from ``expand(config, label)`` otherwise.  A node is
+    charged with the one expansion it keeps (the one whose successors
+    were advanced last, also when :class:`StopSearch` ended it), and the
+    cuts of every expansion computed are noted on ``result``.
     ``terminal(config)`` sees every node without successors;
     ``cut()`` runs when a node at the depth cap had successors, which
     are dropped; ``done()`` is asked after every node whether to stop.
-    Transition cuts the expander appends to ``diagnostics`` (the
-    explorer's own list by default) mark the result bounded.
     ``expand_memo`` is handed to every ``explorer._expand`` call (see
     :meth:`~repro.semantics.scheduler.Explorer._expand`).
     """
 
-    if explorer is not None:
-        tsym = explorer._tsym
-        diagnostics = explorer.diagnostics
-        pruned0, merged0 = explorer.por_pruned, explorer.sym_merged
-        slept0, tmerged0 = explorer.sleep_skipped, explorer.tsym_merged
-    else:
-        tsym = None
-    diag0 = len(diagnostics) if diagnostics is not None else 0
+    tsym = explorer._tsym if explorer is not None else None
     keys = result.expanded_keys
     # Under sleep sets the seen-dict remembers the smallest sleep set
     # each key was pushed with (Godefroid's variant): a revisit with a
@@ -239,6 +283,9 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
     expanded = 0
     hits = lookups = 0
     started = perf_counter()
+    # The explorer's expansion of the node in flight, charged when the
+    # node is done with it.
+    exp = None
 
     try:
         while stack:
@@ -248,10 +295,9 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
             expanded += 1
             if keys is not None:
                 keys.append(key)
-            succ_sleeps = None
-            reduced = False
             if explorer is None:
                 successors = expand(config, label)
+                sleeps = None
             else:
                 tsym_k = None
                 if tsym is not None:
@@ -263,25 +309,21 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
                     # and rotating then would rename a pinned identity.
                     if not threads or max(threads) == k:
                         tsym_k = k
-                sym_snap = explorer.sym_merged
-                tsym_snap = explorer.tsym_merged
-                successors = explorer._expand(config, sleep=sleep,
-                                              tsym_k=tsym_k,
-                                              memo=expand_memo)
-                succ_sleeps = explorer._succ_sleeps
-                reduced = explorer.last_expand_reduced
-                if not successors and explorer._last_slept:
+                exp = explorer._expand(config, sleep=sleep, tsym_k=tsym_k,
+                                       memo=expand_memo)
+                if exp.cuts:
+                    note_diagnostics(result, exp.cuts)
+                if not exp.successors and exp.slept:
                     # Every runnable thread was asleep.  Their futures are
                     # covered by earlier siblings, but recording the node
                     # as terminal would be wrong (it is not quiescent) —
-                    # re-expand ignoring sleep, rolling the skips back.
-                    explorer.sleep_skipped -= explorer._last_slept
-                    explorer.sym_merged = sym_snap
-                    explorer.tsym_merged = tsym_snap
-                    successors = explorer._expand(config, tsym_k=tsym_k,
-                                                  memo=expand_memo)
-                    succ_sleeps = explorer._succ_sleeps
-                    reduced = explorer.last_expand_reduced
+                    # re-expand ignoring sleep.
+                    exp = explorer._expand(config, tsym_k=tsym_k,
+                                           memo=expand_memo)
+                    if exp.cuts:
+                        note_diagnostics(result, exp.cuts)
+                successors = exp.successors
+                sleeps = exp.sleeps
             if not successors:
                 # Quiescent or deadlocked.
                 if terminal is not None:
@@ -300,8 +342,7 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
                         if step is None:
                             continue
                         next_label, next_key = step
-                        ns = (succ_sleeps[sidx]
-                              if succ_sleeps is not None else NO_SLEEP)
+                        ns = sleeps[sidx] if sleeps is not None else NO_SLEEP
                         lookups += 1
                         stored = seen.get(next_key)
                         if stored is not None:
@@ -316,44 +357,36 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
                         stack.append((next_config, next_label, depth + 1,
                                       next_key, ns))
                         fresh += 1
-                    if fresh == 0 and (reduced or (
-                            explorer is not None and explorer._last_slept)):
+                    if fresh == 0 and exp is not None and (
+                            exp.reduced or exp.slept):
                         # Cycle proviso: the prioritized (or non-slept)
                         # threads' successors all dedup into already-seen
                         # nodes, so following only them could starve the
                         # other threads' futures (a cycle of invisible
                         # private steps).  Re-expand the node without any
-                        # reduction, rolling back this node's accounting
-                        # first so the re-expansion is charged exactly
-                        # once; the pruned successors stay deduplicated.
-                        explorer.por_pruned -= explorer._last_pruned
-                        explorer.sleep_skipped -= explorer._last_slept
-                        explorer.sym_merged = sym_snap
-                        explorer.tsym_merged = tsym_snap
-                        successors = explorer._expand(
-                            config, full=True, tsym_k=tsym_k,
-                            memo=expand_memo)
-                        succ_sleeps = explorer._succ_sleeps
-                        reduced = False
+                        # reduction; the pruned successors stay
+                        # deduplicated.
+                        exp = explorer._expand(config, full=True,
+                                               tsym_k=tsym_k,
+                                               memo=expand_memo)
+                        if exp.cuts:
+                            note_diagnostics(result, exp.cuts)
+                        successors = exp.successors
+                        sleeps = exp.sleeps
                         continue
                     break
+            if exp is not None:
+                result.charge(exp)
+                exp = None
             if done is not None and done():
                 return []
         return []
     except StopSearch:
+        if exp is not None:
+            result.charge(exp)
         return []
     finally:
         result.nodes += expanded
         result.dedup_hits += hits
         result.dedup_lookups += lookups
         result.elapsed += perf_counter() - started
-        if explorer is not None:
-            result.por_pruned += explorer.por_pruned - pruned0
-            result.sym_merged += explorer.sym_merged - merged0
-            result.sleep_skipped += explorer.sleep_skipped - slept0
-            result.tsym_merged += explorer.tsym_merged - tmerged0
-        if diagnostics is not None and len(diagnostics) > diag0:
-            # A transition was cut (e.g. atomic-loop fuel): the search
-            # is bounded, and the cut is surfaced.
-            result.bounded = True
-            note_diagnostics(result, diagnostics[diag0:])

@@ -22,8 +22,9 @@ script it prints the JSON::
 
     PYTHONPATH=src python tests/registry_probe.py > probe.json
 
-The output must not depend on ``PYTHONHASHSEED``; the tests compare
-:func:`probe` with the step memos on and off.
+The output must not depend on ``PYTHONHASHSEED``, and it is pinned in
+``tests/registry_probe.json``; the tests compare :func:`probe_one`
+with the step memos on and off and with the pinned output.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ compiler:
 * exhausting ``ATOMIC_LOOP_FUEL`` raises :class:`AtomicLoopDivergence`
   (a ``SemanticsError`` that is also a ``BoundExceeded``) and surfaces
   as an exploration diagnostic instead of silently truncating the state
-  space — in both semantics modes and in the abstract explorer, and
-  whether or not the explorer replays repeated expansions;
+  space — in both semantics modes and in the abstract explorer,
+  whether or not the explorer replays repeated expansions, and on every
+  run of one explorer, product search or abstract explorer;
 * ``memo_key`` materialises generator ``extra``s (hash by contents, not
   by exhausted-object repr) and rejects strings and non-iterables loudly.
 """
@@ -31,7 +32,6 @@ import repro.refinement.observable as observable_mod
 import repro.semantics.scheduler as scheduler_mod
 from repro.algorithms import algorithm_names, get_algorithm
 from repro.engine import EngineSpec, MemoCache, memo_key, resolve_engine
-from repro.engine.api import ENV_ENGINE
 from repro.errors import (
     AtomicLoopDivergence,
     BoundExceeded,
@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.algorithms.counter_nonatomic import instrumented_racy_counter
 from repro.assertions.patterns import ThreadDone, commit_p, pattern
-from repro.history.object_lin import check_object_linearizable
+from repro.history.object_lin import ProductSearch, check_object_linearizable
 from repro.instrument import (
     InstrumentedMethod,
     InstrumentedObject,
@@ -250,15 +250,6 @@ def test_unknown_semantics_rejected():
         EngineSpec(semantics="tables")
 
 
-def test_env_engine_override(monkeypatch):
-    monkeypatch.setenv(ENV_ENGINE, INTERP)
-    assert resolve_engine(None).semantics == "interp"
-    # An explicit engine argument always wins over the environment.
-    assert resolve_engine("sequential").semantics == "compiled"
-    monkeypatch.setenv(ENV_ENGINE, "")
-    assert resolve_engine(None).semantics == "compiled"
-
-
 def test_memo_entries_not_shared_across_semantics(tmp_path):
     alg = get_algorithm("ccas")
     program = mgc_program(alg.impl, alg.workload.menu, 2, 1)
@@ -428,29 +419,58 @@ def test_refinement_cut_by_fuel_carries_the_diagnostic():
     assert refines.diagnostics and "fuel" in refines.diagnostics[0]
 
 
-def test_expansion_noting_a_diagnostic_is_not_memoized():
+def test_memo_replays_an_expansion_with_its_cut():
+    """An expansion is a value: the memo stores one that cut a
+    transition, and a hit carries the cut as the fresh one did."""
+
     explorer = Explorer(mgc_program(_divergent_impl(), _SPIN_MENU,
                                     threads=1, ops_per_thread=1))
     memo = explorer._expand_memo
     start = explorer.start_nodes()[0][0]
-    ((invoked, event),) = explorer._expand(start, memo=memo)
+    ((invoked, event),) = explorer._expand(start, memo=memo).successors
     assert event.is_invocation and len(memo) == 1
-    # The atomic loop diverges: the first expansion notes it and is
-    # not stored, the next one notes nothing new and is.
-    assert explorer._expand(invoked, memo=memo) == ()
-    assert len(explorer.diagnostics) == 1 and len(memo) == 1
-    assert explorer._expand(invoked, memo=memo) == ()
-    assert len(explorer.diagnostics) == 1 and len(memo) == 2
+    fresh = explorer._expand(invoked, memo=memo)
+    assert fresh.successors == () and len(fresh.cuts) == 1
+    assert "fuel" in fresh.cuts[0] and len(memo) == 2
+    assert explorer._expand(invoked, memo=memo) is fresh
+
+
+def _abstract_spinner():
+    client = atomic(assign("g", 1), while_true(assign("g", 1)))
+    return AbstractProgram(counter_spec(), (client,),
+                           initial_client_memory=(("g", 0),))
 
 
 def test_fuel_exhaustion_surfaces_in_abstract_explorer():
-    client = atomic(assign("g", 1), while_true(assign("g", 1)))
-    program = AbstractProgram(counter_spec(), (client,),
-                              initial_client_memory=(("g", 0),))
-    result = AbstractExplorer(program).run()
+    result = AbstractExplorer(_abstract_spinner()).run()
     assert result.diagnostics
     assert "fuel" in result.diagnostics[0]
     assert result.bounded
+
+
+def _spinner_searches():
+    """A second ``run()`` on one searcher must report the cut it meets
+    as the first did: nothing of a run is kept on the searcher."""
+
+    program = mgc_program(_divergent_impl(), _SPIN_MENU, threads=1,
+                          ops_per_thread=1)
+    return {
+        "explore": Explorer(program),
+        "product": ProductSearch(program, _spin_spec()),
+        "abstract": AbstractExplorer(_abstract_spinner()),
+    }
+
+
+@pytest.mark.parametrize("searcher", sorted(_spinner_searches()))
+def test_second_run_reports_the_fuel_cut(searcher):
+    search = _spinner_searches()[searcher]
+    first, second = search.run(), search.run()
+    for result in (first, second):
+        assert result.bounded
+        assert len(result.diagnostics) == 1
+        assert "fuel" in result.diagnostics[0]
+    assert second.diagnostics == first.diagnostics
+    assert second.nodes == first.nodes
 
 
 # ---------------------------------------------------------------------------

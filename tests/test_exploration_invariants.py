@@ -27,6 +27,9 @@ Three properties every engine relies on:
   reduction counters) and only the explore client fills it.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,7 +134,6 @@ def test_start_nodes_dedup_symmetric_initials(monkeypatch):
                         lambda: [variant(b0, b1), variant(b1, b0)])
     nodes = explorer.start_nodes()
     assert len(nodes) == 1
-    assert explorer.sym_merged >= 1
 
     # Without symmetry the two permutations stay distinct.
     plain = Explorer(_program("treiber"), reduce="none")
@@ -323,12 +325,20 @@ def _set_memo_cap(monkeypatch, cap):
     monkeypatch.setattr(monitor_mod, "_MONITOR_MEMO_CAP", cap)
 
 
+#: The registry probe's output, pinned: every decider's counts, sets,
+#: counters and failure records as the probe prints them.
+PINNED_PROBE = Path(__file__).with_name("registry_probe.json")
+
+
 @pytest.mark.parametrize("name", probe_names())
 def test_step_memo_is_exact_on_every_decider(monkeypatch, name):
     """Explore (compiled and interpreted), product, refinement and the
-    witness in both history modes: identical with the memos on and off."""
+    witness in both history modes: identical with the memos on and off,
+    and equal to the pinned probe."""
 
     cached = probe_one(name)
+    pinned = json.loads(PINNED_PROBE.read_text())[name]
+    assert json.loads(json.dumps(cached, sort_keys=True)) == pinned
     _set_memo_cap(monkeypatch, 0)
     assert probe_one(name) == cached
 

@@ -5,6 +5,12 @@ definitional Def-2 pipeline, the Fig-11 witness and its random walk,
 Def-3 refinement and the abstract explorer — returns a result that *is*
 the search core's record, so ``render_perf`` reads any of them directly.
 A decider that wraps another's run reports that run's record unchanged.
+
+The search core charges each node with the one
+:class:`~repro.semantics.search.Expansion` it keeps and notes the cuts
+of every expansion it computed; a stub explorer whose expansions are a
+table drives each re-expansion path (cycle proviso, sleep-wake), an
+early stop and a budget spill, and the random walks charge theirs too.
 """
 
 from dataclasses import fields
@@ -14,6 +20,11 @@ import pytest
 import repro.history.object_lin as object_lin_mod
 from repro.algorithms import get_algorithm
 from repro.engine import EngineSpec
+from repro.engine.random_walk import (
+    random_walk_explore,
+    random_walk_instrumented,
+    random_walk_lin,
+)
 from repro.history.object_lin import (
     check_program_linearizable,
     check_program_linearizable_definitional,
@@ -24,7 +35,14 @@ from repro.refinement import check_contextual_refinement
 from repro.semantics.abstract import AbstractProgram, explore_abstract
 from repro.semantics.mgc import mgc_program, printing_client
 from repro.semantics.scheduler import explore
-from repro.semantics.search import SearchStats, stats_of
+from repro.semantics.search import (
+    NO_SLEEP,
+    Expansion,
+    SearchStats,
+    StopSearch,
+    search,
+    stats_of,
+)
 
 WALK = EngineSpec("random-walk", seed=1, walks=16)
 
@@ -114,3 +132,162 @@ def test_shared_fields_are_declared_only_on_the_record():
         assert issubclass(cls, SearchStats)
         own = set(vars(cls).get("__annotations__", {}))
         assert not own & shared, (cls.__name__, own & shared)
+
+
+def _treiber_walks():
+    alg = get_algorithm("treiber")
+    program = mgc_program(alg.impl, alg.workload.menu, threads=2,
+                          ops_per_thread=1)
+    runner = InstrumentedRunner(alg.instrumented, alg.workload.menu, 2, 1,
+                                alg.limits, alg.invariant, alg.guarantee)
+    return {
+        "explore": random_walk_explore(program, alg.limits, walks=64),
+        "product": random_walk_lin(program, alg.spec, alg.limits, walks=64),
+        "witness": random_walk_instrumented(runner, walks=64),
+    }
+
+
+def test_random_walks_fill_the_record():
+    """Every walk times itself, and the explorer's walks charge the
+    reduction counts of the expansions they step through."""
+
+    walks = _treiber_walks()
+    for name, result in walks.items():
+        assert not result.exhaustive and result.nodes > 0, name
+        assert result.elapsed > 0, name
+        assert "nodes/sec=" in render_perf(result), name
+    for name in ("explore", "product"):
+        assert walks[name].reduce != "none"
+        assert walks[name].por_pruned > 0, name
+
+
+# ---------------------------------------------------------------------------
+# The search core charges the expansion it keeps
+# ---------------------------------------------------------------------------
+
+
+def _expansion(successors=(), sleeps=None, reduced=False, pruned=0,
+               slept=0, merged=0, tmerged=0, cuts=()):
+    return Expansion(tuple((config, None) for config in successors),
+                     sleeps, reduced, pruned, slept, merged, tmerged, cuts)
+
+
+class StubExplorer:
+    """An explorer whose expansions are a table keyed on
+    ``(config, full, sleep)``; it records every call."""
+
+    _tsym = None
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = []
+
+    def _expand(self, config, full=False, sleep=NO_SLEEP, tsym_k=None,
+                memo=None):
+        self.calls.append((config, full, sleep))
+        return self.table[config, full, sleep]
+
+
+def _advance(next_config, label, event):
+    return label, next_config
+
+
+def _run(table, roots, budget=100, advance=_advance):
+    """Search from ``roots`` (configurations, which are their own keys)
+    on a stub explorer; returns the result, the spill and the calls."""
+
+    stub = StubExplorer(table)
+    result = SearchStats()
+    terminal = []
+    spill = search([(c, None, 0, c) for c in roots], budget, result,
+                   advance, 10, explorer=stub, terminal=terminal.append)
+    return result, spill, stub.calls, terminal
+
+
+def _counts(result):
+    return (result.por_pruned, result.sleep_skipped, result.sym_merged,
+            result.tsym_merged)
+
+
+def test_cycle_proviso_charges_only_the_full_expansion():
+    """A's reduced expansion only reaches the already-seen B: it is
+    discarded for the unreduced one, uncharged, but its cut is noted."""
+
+    table = {
+        ("A", False, NO_SLEEP): _expansion(
+            "B", reduced=True, pruned=1000, merged=1000, tmerged=1000,
+            cuts=("reduced cut",)),
+        ("A", True, NO_SLEEP): _expansion(
+            "BC", merged=1, tmerged=2, cuts=("full cut",)),
+        ("B", False, NO_SLEEP): _expansion(merged=10),
+        ("C", False, NO_SLEEP): _expansion(merged=100),
+    }
+    result, spill, calls, terminal = _run(table, "BA")
+    assert spill == [] and result.nodes == 3
+    assert calls[:2] == [("A", False, NO_SLEEP), ("A", True, NO_SLEEP)]
+    assert _counts(result) == (0, 0, 111, 2)
+    assert result.bounded
+    assert result.diagnostics == ("reduced cut", "full cut")
+    assert sorted(terminal) == ["B", "C"]
+
+
+def test_sleep_wake_charges_only_the_awake_expansion():
+    """B is reached with thread 2 asleep and every runnable thread is
+    asleep there: it is expanded again awake, and the slept expansion
+    is not charged."""
+
+    asleep = frozenset({2})
+    table = {
+        ("A", False, NO_SLEEP): _expansion("B", sleeps=(asleep,),
+                                           pruned=3),
+        ("B", False, asleep): _expansion(slept=1000, merged=1000),
+        ("B", False, NO_SLEEP): _expansion("C", sleeps=(NO_SLEEP,),
+                                           merged=5),
+        ("C", False, NO_SLEEP): _expansion(tmerged=7),
+    }
+    result, spill, calls, terminal = _run(table, "A")
+    assert spill == [] and result.nodes == 3
+    assert calls == [("A", False, NO_SLEEP), ("B", False, asleep),
+                     ("B", False, NO_SLEEP), ("C", False, NO_SLEEP)]
+    assert _counts(result) == (3, 0, 5, 7)
+    assert terminal == ["C"]
+    assert not result.bounded and result.diagnostics == ()
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_stop_mid_node_charges_the_expansion_in_flight(reduced):
+    """A violation found while A's successors are advanced ends the
+    search; A is charged with the expansion being advanced (after the
+    cycle proviso, the unreduced one)."""
+
+    table = {
+        ("A", False, NO_SLEEP): _expansion(
+            "B" if reduced else "BX", reduced=reduced, pruned=1000,
+            merged=4),
+        ("A", True, NO_SLEEP): _expansion("BX", merged=40),
+    }
+
+    def advance(next_config, label, event):
+        if next_config == "X":
+            raise StopSearch
+        return label, next_config
+
+    result, spill, calls, _ = _run(table, "BA", advance=advance)
+    assert spill == [] and result.nodes == 1
+    assert _counts(result) == ((0, 0, 40, 0) if reduced
+                               else (1000, 0, 4, 0))
+
+
+def test_budget_spill_charges_each_node_once_when_expanded():
+    table = {
+        ("A", False, NO_SLEEP): _expansion("BC", merged=1),
+        ("B", False, NO_SLEEP): _expansion(merged=10),
+        ("C", False, NO_SLEEP): _expansion(merged=100),
+    }
+    result, spill, _, _ = _run(table, "A", budget=1)
+    assert [node[3] for node in spill] == ["B", "C"]
+    assert result.nodes == 1 and _counts(result) == (0, 0, 1, 0)
+    stub = StubExplorer(table)
+    while spill:
+        spill = search(spill, 1, result, _advance, 10, explorer=stub)
+    assert result.nodes == 3 and _counts(result) == (0, 0, 111, 0)

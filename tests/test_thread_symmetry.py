@@ -231,9 +231,10 @@ def test_tsym_quotient_reproduces_por_sym_sets():
 
 
 def test_budget_one_resume_accounting_is_exact_under_tsym():
-    """Satellite regression: spill/resume loops at budget 1 must leave
-    every reduction counter non-negative and accumulate exactly the
-    explorer's own deltas (the cycle-proviso rollback used to leak)."""
+    """Spill/resume loops at budget 1 reach the full sets and leave
+    every reduction counter non-negative.  That each node is charged
+    with exactly the expansion it keeps is pinned on a stub explorer in
+    ``tests/test_search_stats.py``."""
 
     counters = ("por_pruned", "sym_merged", "sleep_skipped", "tsym_merged")
     program = _program("treiber", 2, 1)
@@ -242,7 +243,6 @@ def test_budget_one_resume_accounting_is_exact_under_tsym():
     explorer = Explorer(program, reduce="por+sym+tsym")
     result = _fresh_result()
     frontier = explorer.start_nodes()
-    base = {name: getattr(explorer, name) for name in counters}
     while frontier:
         frontier = explorer.run_from(frontier, 1, result)
         for name in counters:
@@ -250,9 +250,6 @@ def test_budget_one_resume_accounting_is_exact_under_tsym():
     explorer.close_result(result)
     assert result.histories == full.histories
     assert result.observables == full.observables
-    for name in counters:
-        assert getattr(result, name) == \
-            getattr(explorer, name) - base[name], name
 
 
 @pytest.mark.parametrize("engine", [
