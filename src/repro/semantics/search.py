@@ -18,6 +18,13 @@ It owns
   count, diagnostics, elapsed time, the dedup and reduction counters,
   and the ``expanded_keys`` collection the parallel driver digests;
 * early stop;
+* the collector pause: the cyclic garbage collector is off for the
+  length of a search and back in its entry state on every exit.  Search
+  state (configurations, labels, keys, the seen-dict and the memos)
+  forms no reference cycles, so a collection inside a search frees
+  nothing and only walks the growing heap;
+  ``tests/test_search_stats.py`` checks after each decider's search
+  that ``gc.collect()`` finds no cyclic garbage;
 * the replay of repeated expansions: a client whose labels reach one
   configuration many times (explore, keyed on history and trace) hands
   in an ``expand_memo``, and a node whose configuration and reduction
@@ -37,6 +44,7 @@ resumed node entirely is always sound).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import (
@@ -247,7 +255,8 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
     nodes left unexpanded when the budget ran out, ``[]`` when the
     subtree was exhausted or the search stopped early.  A node is charged
     against the budget only when it is expanded, so ``result.nodes``
-    counts expansions exactly across spill/resume cycles.
+    counts expansions exactly across spill/resume cycles.  The cyclic
+    collector is paused while the search runs and left as it was found.
 
     ``advance(next_config, label, event)`` is called for every successor
     (``next_config`` is ``None`` when the step aborted) and returns
@@ -286,6 +295,8 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
     # The explorer's expansion of the node in flight, charged when the
     # node is done with it.
     exp = None
+    collecting = gc.isenabled()
+    gc.disable()
 
     try:
         while stack:
@@ -386,6 +397,8 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
             result.charge(exp)
         return []
     finally:
+        if collecting:
+            gc.enable()
         result.nodes += expanded
         result.dedup_hits += hits
         result.dedup_lookups += lookups

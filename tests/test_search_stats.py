@@ -11,14 +11,21 @@ The search core charges each node with the one
 of every expansion it computed; a stub explorer whose expansions are a
 table drives each re-expansion path (cycle proviso, sleep-wake), an
 early stop and a budget spill, and the random walks charge theirs too.
+
+The search core also pauses the cyclic collector while it runs: it is
+back in its entry state on every exit path, and no decider's run leaves
+cyclic garbage for the pause to hide.
 """
 
+import gc
 from dataclasses import fields
 
 import pytest
 
 import repro.history.object_lin as object_lin_mod
 from repro.algorithms import get_algorithm
+from repro.algorithms.counter_nonatomic import racy_counter
+from repro.algorithms.specs import counter_spec
 from repro.engine import EngineSpec
 from repro.engine.random_walk import (
     random_walk_explore,
@@ -291,3 +298,99 @@ def test_budget_spill_charges_each_node_once_when_expanded():
     while spill:
         spill = search(spill, 1, result, _advance, 10, explorer=stub)
     assert result.nodes == 3 and _counts(result) == (0, 0, 111, 0)
+
+
+# ---------------------------------------------------------------------------
+# The collector pause
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Yields a setter for the collector's state and restores the
+    state the test started with."""
+
+    entry = gc.isenabled()
+
+    def set_enabled(on):
+        (gc.enable if on else gc.disable)()
+
+    yield set_enabled
+    set_enabled(entry)
+
+
+@pytest.mark.parametrize("entry", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("case", ["exhausted", "spill", "stop", "raise",
+                                  "nested"])
+def test_search_restores_the_collector(case, entry, collector):
+    """The collector is off while a search advances its nodes and back
+    in its entry state on every exit path, a nested search included;
+    a caller that had switched it off finds it off."""
+
+    table = {
+        ("A", False, NO_SLEEP): _expansion("BX"),
+        ("B", False, NO_SLEEP): _expansion(),
+        ("X", False, NO_SLEEP): _expansion(),
+    }
+    inside = []
+
+    def advance(next_config, label, event):
+        inside.append(gc.isenabled())
+        if next_config == "X":
+            if case == "stop":
+                raise StopSearch
+            if case == "raise":
+                raise RuntimeError("advance failed")
+            if case == "nested":
+                _run(table, "B", advance=advance)
+                inside.append(gc.isenabled())
+        return label, next_config
+
+    collector(entry)
+    if case == "raise":
+        with pytest.raises(RuntimeError):
+            _run(table, "A", advance=advance)
+    else:
+        _, spill, _, _ = _run(table, "A", advance=advance,
+                              budget=1 if case == "spill" else 100)
+        assert (spill != []) == (case == "spill")
+    assert inside and not any(inside)
+    assert gc.isenabled() is entry
+
+
+def _racy_product():
+    """The racy counter's product run, which a violation ends through
+    :class:`StopSearch`."""
+
+    program = mgc_program(racy_counter(), [("inc", 0)], threads=2,
+                          ops_per_thread=1)
+    result = check_program_linearizable(program, counter_spec())
+    assert not result.ok
+    return result
+
+
+#: The deciders whose run is the search core's.  The random walks run
+#: no search, and the definitional pipeline's Wing & Gong check runs
+#: after its search, with the collector on.
+GARBAGE_FREE = {
+    **{name: DECIDERS[name] for name in ("explore", "product", "abstract",
+                                         "refinement", "witness")},
+    "product-racy": lambda alg, program: _racy_product(),
+}
+
+
+@pytest.mark.parametrize("decider", sorted(GARBAGE_FREE))
+def test_no_decider_run_leaves_cyclic_garbage(decider, collector):
+    """Search state forms no cycles, so pausing the collector for a
+    search cannot hide a leak: after each decider's run at 2x1 the
+    collector finds nothing to free, and it is back on."""
+
+    collector(True)
+    alg = get_algorithm("hsy_stack")
+    program = mgc_program(alg.impl, alg.workload.menu, threads=2,
+                          ops_per_thread=1)
+    gc.collect()
+    result = GARBAGE_FREE[decider](alg, program)
+    assert gc.isenabled()
+    assert gc.collect() == 0
+    assert result.nodes > 0
