@@ -89,48 +89,6 @@ class ObjectLinResult(SearchStats):
 ProductNode = Node
 
 
-def product_run_from(explorer: Explorer, monitor: SpecMonitor,
-                     limits: Limits, frontier: Sequence[ProductNode],
-                     node_budget: int, out: ObjectLinResult
-                     ) -> List[ProductNode]:
-    """Expand up to ``node_budget`` product nodes from ``frontier``.
-
-    Mutates ``out`` in place (its ``histories`` collect the distinct
-    histories); returns the spilled frontier when the budget runs out,
-    or ``[]`` when the subtree is exhausted *or* a violation was found
-    (``out.ok`` turns False).  This is the unit of work the parallel
-    engine distributes; the search is
-    :func:`~repro.semantics.search.search`.
-    """
-
-    histories = out.histories
-
-    def advance(next_config, label, event):
-        object_event = event is not None and event.is_object_event
-        if next_config is None:
-            # An abort ends the path; an object fault is a violation in
-            # its own right, reported before the monitor would read it
-            # as an empty Σ.
-            out.aborted = True
-            if object_event:
-                hist = label[1] + (event,)
-                histories.add(hist)
-                _violation(out, hist, "object code aborted")
-            return None
-        if object_event:
-            states, hist = label
-            states = monitor.step(states, event)
-            hist = hist + (event,)
-            histories.add(hist)
-            if not states:
-                _violation(out, hist, "history has no legal linearization")
-            label = (states, hist)
-        return label, (next_config, label[0])
-
-    return search(frontier, node_budget, out, advance, limits.max_depth,
-                  explorer=explorer, pinned=_hist_threads)
-
-
 def _violation(out: ObjectLinResult, hist: Trace, reason: str) -> None:
     out.ok = False
     out.counterexample = hist
@@ -187,8 +145,54 @@ class ProductSearch:
 
     def run_from(self, frontier: Sequence[ProductNode], node_budget: int,
                  out: ObjectLinResult) -> List[ProductNode]:
-        return product_run_from(self.explorer, self.monitor, self.limits,
-                                frontier, node_budget, out)
+        """Expand up to ``node_budget`` product nodes from ``frontier``.
+
+        Mutates ``out`` in place; returns the spilled frontier when the
+        budget runs out, or ``[]`` when the subtree is exhausted *or* a
+        violation was found (``out.ok`` turns False).  This is the unit
+        of work the parallel engine distributes; the search is
+        :func:`~repro.semantics.search.search`.
+        """
+
+        return search(frontier, node_budget, out,
+                      max_depth=self.limits.max_depth,
+                      pinned=_hist_threads, **self.hooks(out))
+
+    def hooks(self, out: ObjectLinResult) -> dict:
+        """The search hooks of a run into ``out``, shared by
+        :meth:`run_from` and the random walk
+        (:func:`~repro.semantics.search.walk`): the label is the node's
+        (monitor state set, history), ``out.histories`` collects the
+        distinct histories, and a violation ends the run through
+        :class:`~repro.semantics.search.StopSearch`."""
+
+        monitor = self.monitor
+        histories = out.histories
+
+        def advance(next_config, label, event):
+            object_event = event is not None and event.is_object_event
+            if next_config is None:
+                # An abort ends the path; an object fault is a violation
+                # in its own right, reported before the monitor would
+                # read it as an empty Σ.
+                out.aborted = True
+                if object_event:
+                    hist = label[1] + (event,)
+                    histories.add(hist)
+                    _violation(out, hist, "object code aborted")
+                return None
+            if object_event:
+                states, hist = label
+                states = monitor.step(states, event)
+                hist = hist + (event,)
+                histories.add(hist)
+                if not states:
+                    _violation(out, hist,
+                               "history has no legal linearization")
+                label = (states, hist)
+            return label, (next_config, label[0])
+
+        return {"advance": advance, "explorer": self.explorer}
 
     def run(self) -> ObjectLinResult:
         """The exact sequential search."""

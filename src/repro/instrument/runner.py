@@ -405,6 +405,16 @@ class InstrumentedRunner:
         :func:`~repro.semantics.search.search`.
         """
 
+        return search(frontier, node_budget, result,
+                      max_depth=self.limits.max_depth, **self.hooks(result))
+
+    def hooks(self, result: InstrumentedRunResult) -> dict:
+        """The search hooks of a run into ``result``, shared by
+        :meth:`run_from` and the random walk
+        (:func:`~repro.semantics.search.walk`): the label is the node's
+        history, failures past the depth cap are dropped, and
+        ``max_failures`` failures end the run."""
+
         key = self.node_key
         failures = result.failures
         recorded = 0
@@ -427,9 +437,8 @@ class InstrumentedRunner:
                 return None
             return hist, key(nxt, hist)
 
-        return search(frontier, node_budget, result, advance,
-                      self.limits.max_depth, expand=expand, cut=cut,
-                      done=lambda: len(failures) >= self.max_failures)
+        return {"advance": advance, "expand": expand, "cut": cut,
+                "done": lambda: len(failures) >= self.max_failures}
 
     def _expand(self, config: IConfig, hist: Trace,
                 result: InstrumentedRunResult):

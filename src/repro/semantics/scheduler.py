@@ -518,6 +518,18 @@ class Explorer:
         :meth:`run` is a single call with the full node budget.
         """
 
+        return search(frontier, node_budget, result,
+                      max_depth=self.limits.max_depth,
+                      pinned=_label_threads,
+                      expand_memo=self._expand_memo,
+                      **self.hooks(result))
+
+    def hooks(self, result: ExplorationResult) -> dict:
+        """The search hooks of a run into ``result``, shared by
+        :meth:`run_from` and the random walk
+        (:func:`~repro.semantics.search.walk`): the label is the node's
+        (history, observable trace), every reached one is recorded."""
+
         def advance(next_config, label, event):
             if event is not None:
                 hist, obs = label
@@ -534,11 +546,8 @@ class Explorer:
                 return None
             return label, (next_config, label)
 
-        return search(frontier, node_budget, result, advance,
-                      self.limits.max_depth, explorer=self,
-                      pinned=_label_threads,
-                      terminal=result.terminal_configs.add,
-                      expand_memo=self._expand_memo)
+        return {"advance": advance, "explorer": self,
+                "terminal": result.terminal_configs.add}
 
     def _expand(self, config: Config, full: bool = False,
                 sleep: FrozenSet[int] = NO_SLEEP,

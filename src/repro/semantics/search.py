@@ -37,6 +37,11 @@ part of a node beyond the configuration: history and trace, monitor
 state set, ...) and the successor's dedup key, both from one
 ``advance`` call.
 
+:func:`walk` is the same search with a stack of one: the seeded random
+walks of :mod:`repro.engine.random_walk` run a decider's own hooks
+through it, so the depth rule, the charging, early stop and the
+collector pause are the search's, written once.
+
 A search node is ``(config, label, depth, key)``; the stack also carries
 the node's sleep set, which a spilled frontier drops again (waking a
 resumed node entirely is always sound).
@@ -45,6 +50,7 @@ resumed node entirely is always sound).
 from __future__ import annotations
 
 import gc
+import random
 from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import (
@@ -402,4 +408,85 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
         result.nodes += expanded
         result.dedup_hits += hits
         result.dedup_lookups += lookups
+        result.elapsed += perf_counter() - started
+
+
+def walk(starts: Sequence[Node], walks: int, seed: int, result: SearchStats,
+         advance: Callable, max_depth: int, *,
+         explorer=None,
+         expand: Optional[Callable] = None,
+         terminal: Optional[Callable] = None,
+         cut: Optional[Callable] = None,
+         done: Optional[Callable] = None) -> None:
+    """Sample ``walks`` executions from ``starts``: :func:`search` with a
+    stack of one.
+
+    Walk ``i`` starts from ``starts[i % len(starts)]``, so every start is
+    walked and a single start draws no randomness.  Each node is
+    expanded (``explorer._expand`` unreduced by sleep sets and identity
+    rotation, or ``expand``) and charged, judged by the depth rule
+    (``terminal``/``cut``) and has ``advance`` called on every
+    successor, exactly as in :func:`search`; ``done()`` is asked after
+    the node, and it or :class:`StopSearch` ends all walks.  The walk
+    then steps to one successor ``advance`` kept, picked uniformly by
+    ``random.Random(seed)``, until a node keeps none.  No seen-set is
+    kept; ``result`` gets ``nodes``, ``bounded``, ``diagnostics``, the
+    reduction counters and ``elapsed``, and the collector is paused as
+    in :func:`search`.  The same seed, walk count and source tree
+    reproduce the same result.
+
+    Every walk is a path of the search graph, and ``advance`` sees only
+    successors of nodes on it, so every history or trace a walk records
+    is in the exhaustive search's (prefix-closed) sets: a walk
+    *under*-approximates, and any violation it finds is a real
+    counterexample.  A walk of the reduced graph reaches no history the
+    unreduced one does not.  What a walk cannot do is prove absence:
+    its result carries ``exhaustive=False`` and is reported as "no
+    violation found (sampled)", never as a verified bound.
+    """
+
+    rng = random.Random(seed)
+    expanded = 0
+    started = perf_counter()
+    collecting = gc.isenabled()
+    gc.disable()
+
+    try:
+        for i in range(walks if starts else 0):
+            config, label, depth, _key = starts[i % len(starts)]
+            while True:
+                expanded += 1
+                if explorer is None:
+                    successors = expand(config, label)
+                else:
+                    exp = explorer._expand(config)
+                    result.charge(exp)
+                    if exp.cuts:
+                        note_diagnostics(result, exp.cuts)
+                    successors = exp.successors
+                kept = []
+                if not successors:
+                    if terminal is not None:
+                        terminal(config)
+                elif depth >= max_depth:
+                    result.bounded = True
+                    if cut is not None:
+                        cut()
+                else:
+                    for next_config, event in successors:
+                        step = advance(next_config, label, event)
+                        if step is not None:
+                            kept.append((next_config, step[0]))
+                if done is not None and done():
+                    return
+                if not kept:
+                    break
+                config, label = kept[rng.randrange(len(kept))]
+                depth += 1
+    except StopSearch:
+        pass
+    finally:
+        if collecting:
+            gc.enable()
+        result.nodes += expanded
         result.elapsed += perf_counter() - started

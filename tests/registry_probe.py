@@ -3,15 +3,17 @@
 On every registry algorithm (the synthesized entries included) and the
 Sec-2.4 racy counter, at 2 threads x 1 operation, the probe runs
 
-* the explorer, on the compiled tables and on the interpreter;
-* the Def-2 product (``check_program_linearizable``);
+* the explorer, on the compiled tables and on the interpreter, and its
+  seeded random walk;
+* the Def-2 product (``check_program_linearizable``) and its seeded
+  random walk;
 * the definitional Def-2 engine (collected histories, each checked by
   the Def-1 search), whose counterexample is the first failing maximal
   history in a hash-independent order;
 * Def-3 refinement with printing clients (its concrete exploration and
   the verdict);
 * the Fig-11 witness, with and without complete histories, and its
-  seeded random walk (64 walks, seed 0);
+  seeded random walk (every walk: 64 walks, seed 0);
 * LP inference on the plain code and, where it succeeds, the
   synthesis of instrumentation from its plan;
 
@@ -42,7 +44,11 @@ from repro.algorithms.counter_nonatomic import (
 )
 from repro.algorithms.specs import counter_spec
 from repro.analysis import infer_object, synthesize_object
-from repro.engine.random_walk import random_walk_instrumented
+from repro.engine.random_walk import (
+    random_walk_explore,
+    random_walk_instrumented,
+    random_walk_lin,
+)
 from repro.history.object_lin import (
     check_program_linearizable,
     check_program_linearizable_definitional,
@@ -58,6 +64,8 @@ THREADS, OPS = 2, 1
 #: The SearchStats counters every decider's result carries.
 COUNTERS = ("por_pruned", "sym_merged", "sleep_skipped", "tsym_merged",
             "dedup_hits", "dedup_lookups")
+#: Walks per seeded random walk.
+WALKS = 64
 
 
 def probe_names():
@@ -95,6 +103,12 @@ def _explore(result) -> dict:
             "semantics": result.semantics}
 
 
+def _product(result) -> dict:
+    return {**_search(result), "ok": result.ok,
+            "histories": digest(result.histories),
+            "counterexample": repr(result.counterexample)}
+
+
 def witness_record(result) -> dict:
     return {**_search(result), "ok": result.ok,
             "histories": digest(result.histories),
@@ -125,10 +139,12 @@ def probe_one(name: str) -> dict:
         "explore-interp": _explore(
             explore(program, engine="sequential+interp")),
     }
-    product = check_program_linearizable(program, alg.spec, alg.limits)
-    out["product"] = {**_search(product), "ok": product.ok,
-                      "histories": digest(product.histories),
-                      "counterexample": repr(product.counterexample)}
+    out["explore-walk"] = _explore(
+        random_walk_explore(program, alg.limits, walks=WALKS, seed=0))
+    out["product"] = _product(
+        check_program_linearizable(program, alg.spec, alg.limits))
+    out["product-walk"] = _product(
+        random_walk_lin(program, alg.spec, alg.limits, walks=WALKS, seed=0))
     definitional = check_program_linearizable_definitional(
         program, alg.spec, alg.limits)
     out["definitional"] = {
@@ -154,7 +170,7 @@ def probe_one(name: str) -> dict:
     runner = InstrumentedRunner(alg.instrumented, menu, THREADS, OPS,
                                 alg.limits, alg.invariant, alg.guarantee)
     out["witness-walk"] = witness_record(
-        random_walk_instrumented(runner, walks=64, seed=0))
+        random_walk_instrumented(runner, walks=WALKS, seed=0))
     out["infer"] = inference_record(alg, name)
     return out
 

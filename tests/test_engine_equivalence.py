@@ -19,7 +19,10 @@ import pytest
 
 from repro.algorithms import algorithm_names, get_algorithm
 from repro.engine import EngineSpec
-from repro.history.object_lin import check_object_linearizable
+from repro.history.object_lin import (
+    check_object_linearizable,
+    check_program_linearizable,
+)
 from repro.semantics.mgc import mgc_program
 from repro.semantics.scheduler import explore
 
@@ -79,6 +82,29 @@ def test_explore_sets_equal_and_walks_contained(name):
         assert not rw.exhaustive
         assert rw.histories <= seq.histories
         assert rw.observables <= seq.observables
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", SET_LEVEL)
+def test_explore_and_product_walks_stay_inside_explore(name, seed):
+    """Both walks advance every successor of the nodes they step
+    through, so they record more than the path they take; all of it is
+    still in the exhaustive explore's sets, and the product walk's
+    verdict is the exhaustive product's."""
+
+    alg = get_algorithm(name)
+    program = mgc_program(alg.impl, alg.workload.menu,
+                          threads=2, ops_per_thread=1)
+    seq = explore(program)
+    walk = EngineSpec("random-walk", walks=64, seed=seed)
+    rw = explore(program, engine=walk)
+    assert rw.histories <= seq.histories
+    assert rw.observables <= seq.observables
+    product = check_program_linearizable(program, alg.spec, alg.limits,
+                                         engine=walk)
+    assert product.histories <= seq.histories
+    assert product.ok == check_program_linearizable(
+        program, alg.spec, alg.limits).ok
 
 
 def test_random_walk_deterministic_per_seed():

@@ -49,7 +49,11 @@ from registry_probe import (
     witness_record,
 )
 from repro.algorithms import get_algorithm
-from repro.engine.random_walk import random_walk_instrumented, random_walk_lin
+from repro.engine.random_walk import (
+    random_walk_explore,
+    random_walk_instrumented,
+    random_walk_lin,
+)
 from repro.history.object_lin import ProductSearch, check_program_linearizable
 from repro.instrument.runner import InstrumentedRunner, verify_instrumented
 from repro.memory.store import Store
@@ -259,20 +263,43 @@ def _treiber_witness(limits):
                               limits, alg.invariant, alg.guarantee)
 
 
-def test_random_walk_witness_keeps_the_depth_rule():
-    """The sampled witness applies the search's depth rule: a terminal
-    node at the cap is not a cut, so at the longest path's depth every
-    walk is complete, one step shorter every walk is cut."""
+#: Each sampler and its exhaustive decider on Treiber at 1x1, as
+#: ``(exact, walk)`` runs of one ``Limits``.
+SAMPLERS = {
+    "explore": (
+        lambda limits: Explorer(_program(threads=1), limits).run(),
+        lambda limits: random_walk_explore(_program(threads=1), limits,
+                                           walks=32, seed=0)),
+    "product": (
+        lambda limits: ProductSearch(_program(threads=1),
+                                     get_algorithm("treiber").spec,
+                                     limits).run(),
+        lambda limits: random_walk_lin(_program(threads=1),
+                                       get_algorithm("treiber").spec,
+                                       limits, walks=32, seed=0)),
+    "witness": (
+        lambda limits: _treiber_witness(limits).run_sequential(),
+        lambda limits: random_walk_instrumented(_treiber_witness(limits),
+                                                walks=32, seed=0)),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_random_walk_keeps_the_depth_rule(sampler):
+    """Every sampler applies the search's depth rule: a terminal node
+    at the cap is not a cut, so at the longest path's depth every walk
+    is complete, one step shorter some walk is cut."""
+
+    exact_run, walk_run = SAMPLERS[sampler]
 
     def exact(limits):
-        r = _treiber_witness(limits).run_sequential()
+        r = exact_run(limits)
         return r.nodes, r.bounded
 
     longest = _smallest_complete_depth(exact)
     for depth in (longest - 1, longest, longest + 1):
         limits = Limits(max_depth=depth)
-        walk = random_walk_instrumented(_treiber_witness(limits),
-                                        walks=32, seed=0)
+        walk = walk_run(limits)
         assert walk.bounded == exact(limits)[1] == (depth < longest)
 
 

@@ -1,20 +1,22 @@
 """The :class:`SearchStats` record every decider's result is.
 
-Each decider — explore, the Def-2 product and its random walk, the
-definitional Def-2 pipeline, the Fig-11 witness and its random walk,
-Def-3 refinement and the abstract explorer — returns a result that *is*
-the search core's record, so ``render_perf`` reads any of them directly.
+Each decider — explore, the Def-2 product and the Fig-11 witness with
+their random walks, the definitional Def-2 pipeline, Def-3 refinement
+and the abstract explorer — returns a result that *is* the search
+core's record, so ``render_perf`` reads any of them directly.
 A decider that wraps another's run reports that run's record unchanged.
 
 The search core charges each node with the one
 :class:`~repro.semantics.search.Expansion` it keeps and notes the cuts
 of every expansion it computed; a stub explorer whose expansions are a
 table drives each re-expansion path (cycle proviso, sleep-wake), an
-early stop and a budget spill, and the random walks charge theirs too.
+early stop and a budget spill.  The random walks run the same rules
+through :func:`~repro.semantics.search.walk`, which the stub drives
+through a terminal node, a cut, ``done`` and an early stop.
 
-The search core also pauses the cyclic collector while it runs: it is
-back in its entry state on every exit path, and no decider's run leaves
-cyclic garbage for the pause to hide.
+The search core also pauses the cyclic collector while it searches or
+walks: it is back in its entry state on every exit path, and no
+decider's run leaves cyclic garbage for the pause to hide.
 """
 
 import gc
@@ -49,6 +51,7 @@ from repro.semantics.search import (
     StopSearch,
     search,
     stats_of,
+    walk,
 )
 
 WALK = EngineSpec("random-walk", seed=1, walks=16)
@@ -69,6 +72,7 @@ def _abstract(alg):
 
 DECIDERS = {
     "explore": lambda alg, program: explore(program),
+    "explore-walk": lambda alg, program: explore(program, engine=WALK),
     "product": lambda alg, program: check_program_linearizable(
         program, alg.spec, alg.limits),
     "definitional": lambda alg, program:
@@ -301,6 +305,100 @@ def test_budget_spill_charges_each_node_once_when_expanded():
 
 
 # ---------------------------------------------------------------------------
+# The walk runs the search's rules
+# ---------------------------------------------------------------------------
+
+
+def _walk(table, roots, walks=1, advance=_advance, max_depth=10,
+          done=None):
+    """Walk from ``roots`` on a stub explorer, as :func:`_run` searches;
+    returns the result, the calls, the terminal nodes and the cuts."""
+
+    stub = StubExplorer(table)
+    result = SearchStats()
+    terminal, cuts = [], []
+    walk([(c, None, 0, c) for c in roots], walks, 0, result, advance,
+         max_depth, explorer=stub, terminal=terminal.append,
+         cut=lambda: cuts.append(len(stub.calls)), done=done)
+    return result, stub.calls, terminal, cuts
+
+
+#: A -> B -> C, a chain, so every walk takes the one path.
+CHAIN = {
+    ("A", False, NO_SLEEP): _expansion("B", pruned=1),
+    ("B", False, NO_SLEEP): _expansion("C", merged=10),
+    ("C", False, NO_SLEEP): _expansion(tmerged=100),
+}
+
+
+def test_walk_charges_each_step_and_reaches_the_terminal_node():
+    """Walks start round-robin over the roots; every expanded node is
+    charged, and a node without successors is terminal, also at the
+    depth cap."""
+
+    result, calls, terminal, cuts = _walk(CHAIN, "AB", walks=3,
+                                          max_depth=2)
+    assert [c for c, _, _ in calls] == list("ABC" "BC" "ABC")
+    assert result.nodes == 8 and _counts(result) == (2, 0, 30, 300)
+    assert terminal == ["C", "C", "C"] and cuts == []
+    assert not result.bounded and result.elapsed > 0
+
+
+def test_walk_cuts_a_node_at_the_cap_with_successors():
+    """The depth rule: B at the cap is expanded (and charged) only to
+    tell a terminal node from a cut one; its successors are dropped."""
+
+    advanced = []
+
+    def advance(next_config, label, event):
+        advanced.append(next_config)
+        return label, next_config
+
+    result, calls, terminal, cuts = _walk(CHAIN, "A", walks=2,
+                                          advance=advance, max_depth=1)
+    assert [c for c, _, _ in calls] == list("ABAB")
+    assert advanced == ["B", "B"] and terminal == [] and cuts == [2, 4]
+    assert result.bounded and result.nodes == 4
+    assert _counts(result) == (2, 0, 20, 0)
+
+
+def test_walk_asks_done_after_advancing_the_node():
+    """``done`` is asked once the node's successors were all advanced,
+    and it ends every walk; the node's cuts are noted."""
+
+    table = {("A", False, NO_SLEEP): _expansion("BX", merged=1,
+                                                cuts=("A cut",))}
+    advanced = []
+
+    def advance(next_config, label, event):
+        advanced.append(next_config)
+        return label, next_config
+
+    result, calls, _, _ = _walk(table, "A", walks=5, advance=advance,
+                                done=lambda: bool(advanced))
+    assert advanced == ["B", "X"] and len(calls) == 1
+    assert result.nodes == 1 and _counts(result) == (0, 0, 1, 0)
+    assert result.bounded and result.diagnostics == ("A cut",)
+
+
+def test_walk_stop_ends_every_walk_and_keeps_the_charge():
+    table = {
+        ("A", False, NO_SLEEP): _expansion("BX", merged=4),
+        ("B", False, NO_SLEEP): _expansion(),
+    }
+
+    def advance(next_config, label, event):
+        if next_config == "X":
+            raise StopSearch
+        return label, next_config
+
+    result, calls, terminal, _ = _walk(table, "A", walks=5,
+                                       advance=advance)
+    assert len(calls) == 1 and terminal == []
+    assert result.nodes == 1 and _counts(result) == (0, 0, 4, 0)
+
+
+# ---------------------------------------------------------------------------
 # The collector pause
 # ---------------------------------------------------------------------------
 
@@ -321,11 +419,12 @@ def collector():
 
 @pytest.mark.parametrize("entry", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("case", ["exhausted", "spill", "stop", "raise",
-                                  "nested"])
+                                  "nested", "walk-exhausted", "walk-done",
+                                  "walk-stop", "walk-raise", "walk-nested"])
 def test_search_restores_the_collector(case, entry, collector):
-    """The collector is off while a search advances its nodes and back
-    in its entry state on every exit path, a nested search included;
-    a caller that had switched it off finds it off."""
+    """The collector is off while a search or a walk advances its nodes
+    and back in its entry state on every exit path, a nested search or
+    walk included; a caller that had switched it off finds it off."""
 
     table = {
         ("A", False, NO_SLEEP): _expansion("BX"),
@@ -333,27 +432,35 @@ def test_search_restores_the_collector(case, entry, collector):
         ("X", False, NO_SLEEP): _expansion(),
     }
     inside = []
+    sampler, _, exit_path = case.rpartition("-")
+
+    def run(roots):
+        if sampler == "walk":
+            _walk(table, roots, walks=3, advance=advance,
+                  done=lambda: exit_path == "done")
+            return []
+        return _run(table, roots, advance=advance,
+                    budget=1 if exit_path == "spill" else 100)[1]
 
     def advance(next_config, label, event):
         inside.append(gc.isenabled())
         if next_config == "X":
-            if case == "stop":
+            if exit_path == "stop":
                 raise StopSearch
-            if case == "raise":
+            if exit_path == "raise":
                 raise RuntimeError("advance failed")
-            if case == "nested":
-                _run(table, "B", advance=advance)
+            if exit_path == "nested":
+                run("B")
                 inside.append(gc.isenabled())
         return label, next_config
 
     collector(entry)
-    if case == "raise":
+    if exit_path == "raise":
         with pytest.raises(RuntimeError):
-            _run(table, "A", advance=advance)
+            run("A")
     else:
-        _, spill, _, _ = _run(table, "A", advance=advance,
-                              budget=1 if case == "spill" else 100)
-        assert (spill != []) == (case == "spill")
+        spill = run("A")
+        assert (spill != []) == (exit_path == "spill")
     assert inside and not any(inside)
     assert gc.isenabled() is entry
 
@@ -369,12 +476,10 @@ def _racy_product():
     return result
 
 
-#: The deciders whose run is the search core's.  The random walks run
-#: no search, and the definitional pipeline's Wing & Gong check runs
-#: after its search, with the collector on.
+#: Every decider's run: the search core's searches and seeded walks,
+#: and the definitional pipeline's Wing & Gong check after its search.
 GARBAGE_FREE = {
-    **{name: DECIDERS[name] for name in ("explore", "product", "abstract",
-                                         "refinement", "witness")},
+    **DECIDERS,
     "product-racy": lambda alg, program: _racy_product(),
 }
 
