@@ -65,11 +65,13 @@ class EngineSpec:
     #: subtree back to the shared frontier (work-stealing granularity).
     spill_nodes: int = 10_000
     #: State-space reductions (:mod:`repro.reduce`): ``"none"``,
-    #: ``"por"`` (partial-order reduction + hash-consing) or
-    #: ``"por+sym"`` (adds address-symmetry canonicalization).  Default
-    #: on for sequential and parallel; each program's static eligibility
-    #: filters the mode down to what is provably sound for it, so the
-    #: explored history/observable sets never change.
+    #: ``"por"`` (partial-order reduction), ``"por+sym"`` (adds
+    #: address-symmetry canonicalization) or ``"por+sym+tsym"`` (adds
+    #: sleep sets and thread-identity symmetry); hash-consing is on in
+    #: every mode.  Default on for sequential and parallel; each
+    #: program's static eligibility filters the mode down to what is
+    #: provably sound for it, so the explored history/observable sets
+    #: never change.
     reduce: str = DEFAULT_REDUCE
     #: Step semantics (:mod:`repro.compile`): ``"compiled"`` (default)
     #: drives exploration off per-method transition tables, degrading

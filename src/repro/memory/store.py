@@ -140,6 +140,8 @@ class Store(Mapping[Key, int]):
     # -- equality & hashing ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if isinstance(other, Store):
             return self._data == other._data
         if isinstance(other, AbcMapping):

@@ -33,10 +33,12 @@ def validate_reduce(mode: str) -> str:
 class ReductionPolicy:
     """The reductions actually active for one program.
 
-    ``mode`` is what was requested; ``por``/``sym``/``intern`` are what
-    the eligibility scan allowed.  ``alloc`` is the ``(base, stride)``
-    the sparse allocator uses for method-code allocations under
-    symmetry, or ``None`` for the ordinary dense allocator.
+    ``mode`` is what was requested; ``por``/``sym``/``tsym``/``sleep``
+    are what the eligibility scan allowed.  ``alloc`` is the
+    ``(base, stride)`` the sparse allocator uses for method-code
+    allocations under symmetry, or ``None`` for the ordinary dense
+    allocator.  Hash-consing is not a reduction and has no field: every
+    explorer interns, in every mode.
     """
 
     mode: str
@@ -44,16 +46,11 @@ class ReductionPolicy:
     sym: bool = False
     tsym: bool = False
     sleep: bool = False
-    intern: bool = False
     max_offset: int = 0
     value_consts: FrozenSet[int] = frozenset()
     alloc: Optional[Tuple[int, int]] = None
     quarantine: bool = False
     reasons: Tuple[str, ...] = ()
-
-    @property
-    def active(self) -> bool:
-        return self.por or self.sym or self.intern
 
     @property
     def effective(self) -> str:
@@ -103,7 +100,6 @@ def resolve_policy(program, mode: Optional[str]) -> ReductionPolicy:
         sym=sym,
         tsym=tsym,
         sleep=mode == REDUCE_POR_SYM_TSYM and por,
-        intern=True,
         max_offset=elig.max_offset,
         value_consts=elig.value_consts,
         alloc=(SYM_BASE, SYM_STRIDE) if sym else None,

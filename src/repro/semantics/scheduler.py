@@ -56,6 +56,7 @@ from .search import (
 )
 from .thread import (
     Frame,
+    StepOutcome,
     ThreadState,
     expand_until_visible,
     initial_thread,
@@ -142,6 +143,11 @@ _STEP_MEMO_CAP = 1 << 15
 #: :meth:`Explorer._expand`), which only the explore client fills.
 _EXPAND_MEMO_CAP = 1 << 13
 
+#: Whether an explorer hash-conses the stores, frames, thread states and
+#: configurations it builds (see :meth:`Explorer._thread_successors`);
+#: off, the run is the unshared oracle.
+_INTERN = True
+
 
 @dataclass
 class ExplorationResult(SearchStats):
@@ -196,8 +202,7 @@ class Explorer:
         self.limits = limits or Limits()
         self.private_client_vars = program.private_client_vars
         self.policy = resolve_policy(program, reduce)
-        self.interner: Optional[Interner] = (
-            Interner() if self.policy.intern else None)
+        self.interner: Optional[Interner] = Interner() if _INTERN else None
 
         if semantics is None:
             semantics = DEFAULT_SEMANTICS
@@ -332,7 +337,8 @@ class Explorer:
         reuses the stored σ_o' and rebuilds only the frames and the σ_c
         whose address values move.  A miss calls ``canonicalize_config``
         by this module's name, so a wrapper installed there sees every
-        walk.
+        walk.  The stored σ_o' and every rebuilt component are the run's
+        canonical instances.
         """
 
         threads = config.threads
@@ -344,33 +350,52 @@ class Explorer:
         hit = memo.get(key)
         if hit is None:
             canon, changed = canonicalize_config(config, Store)
-            memo.put(key, (
-                changed, canon.sigma_o,
-                tuple((idx, frame_addresses(new.frame))
-                      for idx, (new, old) in enumerate(
-                          zip(canon.threads, threads))
-                      if new is not old),
-                None if canon.sigma_c is sigma_c
-                else address_items(canon.sigma_c._data)))
+            moved_frames = tuple(
+                (idx, frame_addresses(new.frame))
+                for idx, (new, old) in enumerate(zip(canon.threads, threads))
+                if new is not old)
+            moved_c = (None if canon.sigma_c is sigma_c
+                       else address_items(canon.sigma_c._data))
+            if changed:
+                canon = self._intern_parts(canon)
+            memo.put(key, (changed, canon.sigma_o, moved_frames, moved_c))
             return canon, changed
         changed, sigma_o, moved_frames, moved_c = hit
         if not changed:
             return config, False
+        interner = self.interner
         if moved_frames:
             threads = list(threads)
             for idx, moved in moved_frames:
                 tstate = threads[idx]
                 frame = tstate.frame
-                threads[idx] = ThreadState(
+                tstate = ThreadState(
                     control=tstate.control,
                     frame=Frame(locals=frame.locals.set_many(moved),
                                 retvar=frame.retvar,
                                 caller_control=frame.caller_control,
                                 method=frame.method))
+                if interner is not None:
+                    tstate = interner.thread_state(tstate)
+                threads[idx] = tstate
             threads = tuple(threads)
         if moved_c is not None:
             sigma_c = sigma_c.set_many(moved_c)
+            if interner is not None:
+                sigma_c = interner.value(sigma_c)
         return Config(threads, sigma_c, sigma_o), True
+
+    def _intern_parts(self, config: "Config") -> "Config":
+        """``config`` rebuilt from the run's canonical thread states,
+        σ_c and σ_o (itself when the explorer does not intern)."""
+
+        interner = self.interner
+        if interner is None:
+            return config
+        value = interner.value
+        return Config(tuple([interner.thread_state(t)
+                             for t in config.threads]),
+                      value(config.sigma_c), value(config.sigma_o))
 
     def _thread_successors(self, tid: int, tstate: ThreadState,
                            sigma_c: Store, sigma_o: Store, por: bool
@@ -387,6 +412,11 @@ class Explorer:
         miss, so wrappers installed on the instance after ``__init__``
         see every computed step.  A step that raises is not memoized: it
         raises again on the next call.
+
+        A miss interns each outcome's thread state and stores and each
+        expansion's thread state and σ_c, so the memo holds and every hit
+        hands out the run's canonical instances, and a successor only has
+        its :class:`Config` left to intern.
         """
 
         key = (tid, tstate, sigma_c, sigma_o, por)
@@ -394,11 +424,27 @@ class Explorer:
         hit = memo.get(key)
         if hit is None:
             visible = self._visible
-            hit = memo.put(key, tuple(
-                (oc, None if oc.aborted else visible(
-                    oc.thread_state, oc.sigma_c, oc.sigma_o))
-                for oc in self._step(tstate, tid, sigma_c, sigma_o, por,
-                                     self.policy.alloc)))
+            interner = self.interner
+            outcomes = []
+            for oc in self._step(tstate, tid, sigma_c, sigma_o, por,
+                                 self.policy.alloc):
+                if oc.aborted:
+                    outcomes.append((oc, None))
+                    continue
+                if interner is not None:
+                    value = interner.value
+                    ts = interner.thread_state(oc.thread_state)
+                    sc = value(oc.sigma_c)
+                    so = value(oc.sigma_o)
+                    if ts is not oc.thread_state or sc is not oc.sigma_c \
+                            or so is not oc.sigma_o:
+                        oc = StepOutcome(ts, sc, so, oc.event, oc.footprint)
+                expanded = visible(oc.thread_state, oc.sigma_c, oc.sigma_o)
+                if interner is not None:
+                    expanded = [(interner.thread_state(ts), value(sc))
+                                for ts, sc in expanded]
+                outcomes.append((oc, expanded))
+            hit = memo.put(key, tuple(outcomes))
         return hit
 
     def _template_of(self, config: "Config", tid: int):
@@ -481,7 +527,7 @@ class Explorer:
             if self.policy.sym:
                 start, _changed = canonicalize_config(start, Store)
             if self.interner is not None:
-                start = self.interner.config(start)
+                start = self.interner.config(self._intern_parts(start))
             key = (start, label)
             if key not in seen:
                 seen.add(key)
@@ -718,8 +764,6 @@ class Explorer:
                 keeps = fast_sym and step_keeps_canonical(
                     outcome.footprint, config.sigma_o, outcome.sigma_o)
                 for ts, sc in expanded:
-                    if interner is not None:
-                        ts = interner.thread_state(ts)
                     threads = (config.threads[:idx] + (ts,)
                                + config.threads[idx + 1:])
                     next_config = Config(threads, sc, outcome.sigma_o)
@@ -734,10 +778,10 @@ class Explorer:
                             # to match; on a bail (pchanged None) the
                             # original attribution is kept — sound, just
                             # less merging.
-                            next_config = permuted
                             event = replace(event, thread=tsym_k + 1)
                             rotated = True
                             if pchanged:
+                                next_config = self._intern_parts(permuted)
                                 tmerged += 1
                     if sym:
                         canonical = False

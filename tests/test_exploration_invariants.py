@@ -17,10 +17,10 @@ Three properties every engine relies on:
   (:mod:`repro.semantics.search`);
 * the step memos of the explorer, the witness runner and the Σ monitor
   are exact and bounded: with them emptied (capacity 0, the uncached
-  oracle, which also runs the witness uninterned) every decider reports
-  identical nodes, sets, counters and failure records;
-* the witness runner's interning shares: equal components of its
-  configurations are one object;
+  oracle, which also runs the explorer and the witness uninterned) every
+  decider reports identical nodes, sets, counters and failure records;
+* the explorer's and the witness runner's interning shares: equal
+  components of their configurations are one object;
 * the heap-shape memos (canonical forms, ownership closures) serve
   exactly what the direct, unmemoized calls compute;
 * the expansion memo replays exactly (observables, nodes, dedup and
@@ -56,6 +56,7 @@ from repro.engine.random_walk import (
 )
 from repro.history.object_lin import ProductSearch, check_program_linearizable
 from repro.instrument.runner import InstrumentedRunner, verify_instrumented
+from repro.lang.program import Program
 from repro.memory.store import Store
 from repro.reduce import SYM_BASE, SYM_STRIDE
 from repro.refinement.contextual import check_clients_refinement
@@ -342,11 +343,12 @@ EXPLORER_MEMOS = {"_step_memo": "_STEP_MEMO_CAP",
 def _set_memo_cap(monkeypatch, cap):
     """Capacity of the explorer's memos, the witness step memo and the
     monitor's step memo for explorers, runs and monitors started after
-    the call; 0 stores nothing and runs the witness uninterned, which is
-    the uncached oracle."""
+    the call; 0 stores nothing and runs the explorer and the witness
+    uninterned, which is the uncached oracle."""
 
     for const in EXPLORER_MEMOS.values():
         monkeypatch.setattr(scheduler_mod, const, cap)
+    monkeypatch.setattr(scheduler_mod, "_INTERN", cap > 0)
     monkeypatch.setattr(runner_mod, "_STEP_MEMO_CAP", cap)
     monkeypatch.setattr(runner_mod, "_INTERN", cap > 0)
     monkeypatch.setattr(monitor_mod, "_MONITOR_MEMO_CAP", cap)
@@ -502,6 +504,53 @@ def test_witness_interning_shares_equal_components(monkeypatch):
     nodes, parts = _witness_components()
     assert nodes == 40297
     assert all(_unshared(v) > 0 for v in parts.values())
+
+
+def _explorer_components():
+    """Per search, the σ_c, σ_o, frame locals, frames and thread states
+    of every configuration two explorer searches expanded (the HSY 2x1
+    Def-3 concrete search and the Treiber 3x1 product), with their node
+    counts."""
+
+    alg = algorithm("hsy_stack")
+    clients = tuple(printing_client(alg.workload.menu, 1, prefix=f"t{t}")
+                    for t in (1, 2))
+    explorer = Explorer(Program(alg.impl, clients, (), True), alg.limits)
+    explored = explorer.new_result(expanded_keys=[])
+    explorer.run_from(explorer.start_nodes(), alg.limits.max_nodes,
+                      explored)
+    alg = algorithm("treiber")
+    product = ProductSearch(_program("treiber", threads=3), alg.spec,
+                            alg.limits)
+    checked = product.new_result(expanded_keys=[])
+    product.run_from(product.start_nodes(), alg.limits.max_nodes, checked)
+    assert checked.ok
+    runs = []
+    for result in (explored, checked):
+        configs = [config for config, _label in result.expanded_keys]
+        threads = [t for c in configs for t in c.threads]
+        frames = [t.frame for t in threads if t.frame is not None]
+        runs.append({"sigma_c": [c.sigma_c for c in configs],
+                     "sigma_o": [c.sigma_o for c in configs],
+                     "locals": [f.locals for f in frames],
+                     "frames": frames,
+                     "threads": threads})
+    return (explored.nodes, checked.nodes), runs
+
+
+def test_explorer_interning_shares_equal_components(monkeypatch):
+    nodes, runs = _explorer_components()
+    assert nodes == (23764, 10392)
+    for parts in runs:
+        assert {k: _unshared(v) for k, v in parts.items()} == \
+            dict.fromkeys(parts, 0)
+    # Uninterned, interleavings converging on equal components build
+    # distinct objects.
+    _set_memo_cap(monkeypatch, 0)
+    nodes, runs = _explorer_components()
+    assert nodes == (23764, 10392)
+    for parts in runs:
+        assert all(_unshared(v) > 0 for v in parts.values())
 
 
 # ---------------------------------------------------------------------------

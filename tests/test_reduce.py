@@ -106,9 +106,9 @@ def test_resolve_policy_default_and_none():
     prog = _program_for("treiber")
     policy = resolve_policy(prog, None)
     assert policy.mode == DEFAULT_REDUCE
-    assert policy.por and policy.sym and policy.intern
+    assert policy.por and policy.sym
     inert = resolve_policy(prog, "none")
-    assert not inert.por and not inert.sym and not inert.intern
+    assert not inert.por and not inert.sym
     assert inert.effective == "none"
     with pytest.raises(Exception):
         resolve_policy(prog, "bogus")
@@ -118,7 +118,6 @@ def test_resolve_policy_degrades_for_ineligible():
     policy = resolve_policy(_program_for("ccas"), "por+sym")
     assert not policy.por and not policy.sym
     assert policy.effective == "none"
-    assert policy.intern  # hash-consing is always sound
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +225,25 @@ def test_interner_returns_identical_objects():
     t1 = interner.thread_state(ThreadState(control=()))
     t2 = interner.thread_state(ThreadState(control=()))
     assert t1 is t2
+
+
+def test_interner_shares_frames_and_their_locals():
+    """A thread state is interned after its frame, and a frame after its
+    locals: every thread state handed out holds the canonical frame, and
+    every frame the canonical locals store."""
+
+    interner = Interner()
+
+    def frame(x):
+        return Frame(Store({"x": x}), "r", (), "m")
+
+    locals_ = interner.value(Store({"x": 1}))
+    f1 = interner.frame(frame(1))
+    assert f1.locals is locals_
+    t1 = interner.thread_state(ThreadState((), frame(1)))
+    assert t1.frame is f1
+    assert interner.thread_state(ThreadState((), frame(1))) is t1
+    assert interner.frame(frame(2)) is not f1
 
 
 def test_config_hash_is_cached_and_stable():
