@@ -49,7 +49,7 @@ than risk merging distinguishable configurations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..lang.ast import Noret
 from ..lang.walk import iter_stmts
@@ -113,64 +113,21 @@ def frame_addresses(frame) -> tuple:
     return cached
 
 
-def root_bases(sigma_o) -> FrozenSet[int]:
-    """Block bases held by σ_o's *root* positions (named variables and
-    dense cells) — the positions the canonical walk visits before any
-    thread frame.  Used by :func:`frame_change_covered`."""
-
-    out = set()
-    for key, value in sigma_o._data.items():
-        if type(value) is int and value >= SYM_BASE \
-                and not (type(key) is int and key >= SYM_BASE):
-            out.add(SYM_BASE
-                    + ((value - SYM_BASE) // SYM_STRIDE) * SYM_STRIDE)
-    return frozenset(out)
-
-
-def frame_change_covered(old_addresses, new_addresses, roots) -> bool:
-    """Did a frame's address-valued locals change only in root-covered
-    blocks?
-
-    Second tier of the compiled-mode canonicalization fast path (first
-    tier: :func:`step_keeps_canonical` proves the σ_o side untouched).
-    The canonical walk visits named σ_o variables and dense cells before
-    any frame, so a frame local gaining, dropping or swapping a pointer
-    whose *block* is also held by such a root (``roots``, from
-    :func:`root_bases`) neither changes the discovery order — the base
-    was already discovered — nor orphans the block.  Any change
-    involving a block no root holds falls back to the full pass.
-
-    ``old_addresses`` / ``new_addresses`` are :func:`frame_addresses`
-    results.
-    """
-
-    if old_addresses == new_addresses:
-        return True
-    old = dict(old_addresses)
-    new = dict(new_addresses)
-    for k, v in old.items():
-        if new.get(k) == v:
-            continue
-        if SYM_BASE + ((v - SYM_BASE) // SYM_STRIDE) * SYM_STRIDE \
-                not in roots:
-            return False
-    for k, v in new.items():
-        if old.get(k) == v:
-            continue
-        if SYM_BASE + ((v - SYM_BASE) // SYM_STRIDE) * SYM_STRIDE \
-                not in roots:
-            return False
-    return True
-
-
 def step_keeps_canonical(footprint, pred_sigma_o, new_sigma_o) -> bool:
     """Can ``canonicalize_config`` be skipped for this step's successors?
 
-    Fast path for the compiled (table-indexed) semantics: every compiled
-    step carries a precomputed footprint, so the explorer can prove —
-    before ever walking the configuration — that a step left the sparse
-    pointer structure untouched.  If the predecessor was canonical
-    (every stored configuration is) and
+    No longer called: the explorer canonicalizes every successor through
+    its address-shape memo (``Explorer._canonical`` in
+    :mod:`repro.semantics.scheduler`) under both step semantics.  It
+    stays importable from that module only because the benchmark tracer
+    wraps it there (its ``symmetry.keeps`` layer, which now sees no
+    calls); the benchmark change that drops that wrap and the
+    ``symmetry.keeps_canonical_ratio`` metric deletes this function.
+
+    The proof it gives: a compiled step carries a precomputed footprint,
+    which can show — before walking the configuration — that the step
+    left the sparse pointer structure untouched.  If the predecessor was
+    canonical (every stored configuration is) and
 
     * the step did not allocate (no new block, no new dense cells),
     * every σ_o location it wrote exists on both sides (no dispose), and
@@ -179,14 +136,9 @@ def step_keeps_canonical(footprint, pred_sigma_o, new_sigma_o) -> bool:
     then the block graph, its roots-in-σ_o and the quarantine mask are
     all unchanged, the canonical walk discovers the very same base order
     (the identity, since the predecessor was canonical), and no garbage
-    can have appeared — the successor is *already* canonical.  The
-    caller must separately check the thread-frame locals and σ_c roots
-    (invisible-step compression mutates those without a footprint); see
-    :func:`address_items`.
-
-    σ_c writes are deliberately ignored here: the caller's comparison of
-    the σ_c address entries subsumes them.  Conservative by design —
-    any ``False`` merely falls back to the full canonicalization pass.
+    can have appeared — the successor is *already* canonical, provided
+    the frame-local and σ_c roots (which invisible-step compression
+    rewrites without a footprint) kept their address values too.
     """
 
     if footprint is None or footprint.allocates:

@@ -40,9 +40,9 @@ from ..reduce.symmetry import (
     check_event_escape,
     close_traces,
     frame_addresses,
-    frame_change_covered,
-    root_bases,
     rotation,
+    # Unused here: kept importable for the benchmark tracer's wrap (see
+    # its docstring).
     step_keeps_canonical,
 )
 from .events import Event, Trace
@@ -122,12 +122,9 @@ class Limits:
 #: ``(config, label)``.
 ExploreNode = Node
 
-#: Entries held by the per-explorer ownership-map cache before it is
-#: cleared wholesale (see :class:`~repro.semantics.search.BoundedCache`).
-_OWNER_CACHE_CAP = 1 << 15
-
-#: Entries held by the per-explorer ownership-closure memo (see
-#: :func:`repro.reduce.ownership.compute_owner`).
+#: Entries held by the per-explorer ownership-closure memo before it is
+#: cleared wholesale (see :class:`~repro.semantics.search.BoundedCache`
+#: and :func:`repro.reduce.ownership.compute_owner`).
 _CLOSURE_MEMO_CAP = 1 << 15
 
 #: Entries held by the per-explorer address-shape memo (see
@@ -177,11 +174,11 @@ class Explorer:
     """Exhaustive bounded interleaving exploration of a program.
 
     ``reduce`` selects the state-space reductions (``"none"`` / ``"por"``
-    / ``"por+sym"``; ``None`` means the default, everything on — see
-    :mod:`repro.reduce`).  The requested mode is filtered against the
-    program's static eligibility, so the explored history and
-    observable-trace sets are always exactly those of the unreduced
-    search.
+    / ``"por+sym"`` / ``"por+sym+tsym"``; ``None`` means the default,
+    everything on — see :mod:`repro.reduce`).  The requested mode is
+    filtered against the program's static eligibility, so the explored
+    history and observable-trace sets are always exactly those of the
+    unreduced search.
     """
 
     def __init__(self, program: Program, limits: Optional[Limits] = None,
@@ -247,17 +244,11 @@ class Explorer:
         self._step = _step
         self._visible = _visible
 
-        # Table-indexed fast path, active only under the compiled
-        # semantics: every compiled step carries a precomputed footprint
-        # template, which lets the explorer prove most successors
-        # already canonical without walking them (see
-        # :func:`repro.reduce.symmetry.step_keeps_canonical`).
-        self._fast_sym = self.compiled is not None and self.policy.sym
         # Ownership and canonicalization read the stores and frame
         # locals, never a control: both are memoized on the heap shape,
-        # under either semantics (see :meth:`_owner_of` and
+        # the same way under either semantics (see
+        # :func:`~repro.reduce.ownership.compute_owner` and
         # :meth:`_canonical`).
-        self._owner_cache = BoundedCache(_OWNER_CACHE_CAP)
         self._closure_memo = BoundedCache(_CLOSURE_MEMO_CAP)
         self._shape_memo = BoundedCache(_SHAPE_MEMO_CAP)
         # A thread's successors depend only on its own state and the
@@ -306,25 +297,6 @@ class Explorer:
                 self._tsym = ThreadPermuter(program, ts,
                                             compiled=self.compiled)
 
-    def _owner_of(self, config: "Config") -> Dict[int, int]:
-        """The ownership map of ``config``, cached on its stores and
-        frames.
-
-        The map depends only on the stores and frames — not on the
-        thread controls — so configurations that differ only in program
-        counters share one computation; a miss shares the closures
-        inside it through the closure memo.
-        """
-
-        cache = self._owner_cache
-        key = (config.sigma_o, config.sigma_c,
-               tuple(t.frame for t in config.threads))
-        owner = cache.get(key)
-        if owner is None:
-            owner = cache.put(key, compute_owner(
-                config, self.policy, self._closure_memo))
-        return owner
-
     def _canonical(self, config: "Config") -> Tuple["Config", bool]:
         """``canonicalize_config(config, Store)``, memoized on the
         address shape of ``config``.
@@ -339,6 +311,10 @@ class Explorer:
         by this module's name, so a wrapper installed there sees every
         walk.  The stored σ_o' and every rebuilt component are the run's
         canonical instances.
+
+        Under ``sym`` this is the explorer's one canonicalization path:
+        every start node and every successor goes through it, the same
+        way under either step semantics.
         """
 
         threads = config.threads
@@ -525,7 +501,7 @@ class Explorer:
         label = ((), ())
         for start in self.initial_nodes():
             if self.policy.sym:
-                start, _changed = canonicalize_config(start, Store)
+                start, _changed = self._canonical(start)
             if self.interner is not None:
                 start = self.interner.config(self._intern_parts(start))
             key = (start, label)
@@ -604,9 +580,9 @@ class Explorer:
 
         An expansion reads nothing but ``(config, full, sleep, tsym_k)``
         and the explorer's fixed policy, and it is a value — successors,
-        sleep sets, whether POR reduced, its counts and its cuts — so
-        ``memo`` stores the record itself, keyed on exactly these; a hit
-        is the fresh expansion.  An expansion that raised is not stored.
+        sleep sets, its counts and its cuts — so ``memo`` stores the
+        record itself, keyed on exactly these; a hit is the fresh
+        expansion.  An expansion that raised is not stored.
         """
 
         if memo is None:
@@ -694,7 +670,7 @@ class Explorer:
                     # No owner map can make this step private.
                     continue
                 if owner is None:
-                    owner = self._owner_of(config)
+                    owner = compute_owner(config, policy, self._closure_memo)
                 if footprint_is_private(fp, owner, idx + 1):
                     chosen = (idx, succs)
                     break
@@ -713,13 +689,8 @@ class Explorer:
             awake = set(sleep)
         interner = self.interner
         sym = policy.sym
-        fast_sym = sym and self._fast_sym
         tsym = self._tsym
         n_threads = len(config.threads)
-        if fast_sym:
-            pred_sc = config.sigma_c
-            pred_sc_addresses = address_items(pred_sc._data)
-            roots = None  # root_bases(σ_o), once a frame needs it
         for idx, succs in per_thread:
             tid = idx + 1
             tmpl = None
@@ -739,9 +710,6 @@ class Explorer:
             if tsym is not None and tsym_k is not None \
                     and tid > tsym_k + 1:
                 pi = rotation(n_threads, tsym_k, tid)
-            if fast_sym:
-                pred_frame = config.threads[idx].frame
-                pred_addresses = frame_addresses(pred_frame)
             for outcome, expanded in succs:
                 if outcome.aborted:
                     event = outcome.event
@@ -755,14 +723,6 @@ class Explorer:
                     continue
                 if sym:
                     check_event_escape(outcome.event)
-                # Compiled fast path: a step whose footprint provably
-                # left the sparse pointer structure of σ_o untouched
-                # keeps a canonical predecessor canonical — provided the
-                # frame-local and σ_c roots (which invisible compression
-                # may rewrite without a footprint) kept the same sparse
-                # values too; those are checked per expansion below.
-                keeps = fast_sym and step_keeps_canonical(
-                    outcome.footprint, config.sigma_o, outcome.sigma_o)
                 for ts, sc in expanded:
                     threads = (config.threads[:idx] + (ts,)
                                + config.threads[idx + 1:])
@@ -784,27 +744,9 @@ class Explorer:
                                 next_config = self._intern_parts(permuted)
                                 tmerged += 1
                     if sym:
-                        canonical = False
-                        if keeps and not rotated:
-                            frame = ts.frame
-                            covered = frame is pred_frame
-                            if not covered:
-                                addresses = frame_addresses(frame)
-                                covered = addresses == pred_addresses
-                                if not covered:
-                                    if roots is None:
-                                        roots = root_bases(config.sigma_o)
-                                    covered = frame_change_covered(
-                                        pred_addresses, addresses, roots)
-                            canonical = covered and (
-                                sc is pred_sc
-                                or address_items(sc._data)
-                                == pred_sc_addresses)
-                        if not canonical:
-                            next_config, changed = self._canonical(
-                                next_config)
-                            if changed:
-                                merged += 1
+                        next_config, changed = self._canonical(next_config)
+                        if changed:
+                            merged += 1
                     if interner is not None:
                         next_config = interner.config(next_config)
                     out.append((next_config, event))
@@ -822,7 +764,7 @@ class Explorer:
                 awake.add(tid)
         return Expansion(
             tuple(out), None if succ_sleeps is None else tuple(succ_sleeps),
-            pruned > 0, pruned, slept, merged, tmerged, cuts)
+            pruned, slept, merged, tmerged, cuts)
 
 
 def explore(program: Program, limits: Optional[Limits] = None,

@@ -178,9 +178,9 @@ class Expansion(NamedTuple):
     #: The successors' sleep sets, aligned with ``successors`` (``None``
     #: with sleep sets off).
     sleeps: Optional[tuple]
-    #: True when POR expanded one thread only (the cycle proviso applies).
-    reduced: bool
-    #: Successor edges POR skipped, and threads skipped asleep.
+    #: Successor edges POR skipped (non-zero exactly when POR expanded
+    #: one thread only), and threads skipped asleep; either makes the
+    #: cycle proviso apply.
     pruned: int
     slept: int
     #: Successors redirected to a canonical address-permutation
@@ -375,7 +375,7 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
                                       next_key, ns))
                         fresh += 1
                     if fresh == 0 and exp is not None and (
-                            exp.reduced or exp.slept):
+                            exp.pruned or exp.slept):
                         # Cycle proviso: the prioritized (or non-slept)
                         # threads' successors all dedup into already-seen
                         # nodes, so following only them could starve the

@@ -334,7 +334,6 @@ def test_random_walk_witness_drops_failures_beyond_the_cap():
 
 #: The explorer's memos, by attribute, with their capacity constants.
 EXPLORER_MEMOS = {"_step_memo": "_STEP_MEMO_CAP",
-                  "_owner_cache": "_OWNER_CACHE_CAP",
                   "_closure_memo": "_CLOSURE_MEMO_CAP",
                   "_shape_memo": "_SHAPE_MEMO_CAP",
                   "_expand_memo": "_EXPAND_MEMO_CAP"}
@@ -632,7 +631,7 @@ def shape_oracle(monkeypatch):
 
     counts = {"canonical": 0, "walks": 0, "owner": 0}
     canonical = Explorer._canonical
-    owner_of = Explorer._owner_of
+    owner_map = scheduler_mod.compute_owner
     walk = scheduler_mod.canonicalize_config
 
     def counted_walk(config, store_cls):
@@ -648,15 +647,15 @@ def shape_oracle(monkeypatch):
         counts["canonical"] += 1
         return out, changed
 
-    def checked_owner(self, config):
-        owner = owner_of(self, config)
-        assert owner == ownership_mod.compute_owner(config, self.policy)
+    def checked_owner(config, policy, memo=None):
+        owner = owner_map(config, policy, memo)
+        assert owner == ownership_mod.compute_owner(config, policy)
         counts["owner"] += 1
         return owner
 
     monkeypatch.setattr(scheduler_mod, "canonicalize_config", counted_walk)
     monkeypatch.setattr(Explorer, "_canonical", checked_canonical)
-    monkeypatch.setattr(Explorer, "_owner_of", checked_owner)
+    monkeypatch.setattr(scheduler_mod, "compute_owner", checked_owner)
     yield counts
     # Memo-served forms were checked too, not only fresh walks.
     assert counts["walks"] < counts["canonical"], counts
@@ -681,3 +680,39 @@ def test_shape_memos_match_direct_calls_on_refinement(shape_oracle):
     result = check_clients_refinement(alg.impl, alg.spec, clients,
                                       alg.limits, private_client_vars=True)
     assert result.ok and not result.bounded
+
+
+# ---------------------------------------------------------------------------
+# One canonicalization path under both step semantics
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name",
+                         ["treiber", "ms_lock_free_queue", "hsy_stack"])
+def test_both_semantics_canonicalize_every_successor(monkeypatch, name):
+    """The 2x1 product search goes through ``Explorer._canonical``
+    equally often under the compiled tables and the interpreter, and
+    every configuration either one expands is canonical."""
+
+    calls = {"compiled": 0, "interp": 0}
+    canonical = Explorer._canonical
+
+    def counted(self, config):
+        calls[self.semantics] += 1
+        return canonical(self, config)
+
+    monkeypatch.setattr(Explorer, "_canonical", counted)
+    alg = get_algorithm(name)
+    for semantics in calls:
+        search = ProductSearch(_program(name), alg.spec, alg.limits,
+                               semantics=semantics)
+        assert search.explorer.semantics == semantics
+        assert search.explorer.policy.sym
+        result = search.new_result(expanded_keys=[])
+        assert search.run_from(search.start_nodes(), alg.limits.max_nodes,
+                               result) == []
+        assert result.ok and result.nodes == len(result.expanded_keys) > 0
+        for config, _states in result.expanded_keys:
+            assert symmetry_mod.canonicalize_config(config, Store)[1] \
+                is False
+    assert calls["compiled"] == calls["interp"] > 0, calls

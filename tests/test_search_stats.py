@@ -177,10 +177,10 @@ def test_random_walks_fill_the_record():
 # ---------------------------------------------------------------------------
 
 
-def _expansion(successors=(), sleeps=None, reduced=False, pruned=0,
-               slept=0, merged=0, tmerged=0, cuts=()):
+def _expansion(successors=(), sleeps=None, pruned=0, slept=0, merged=0,
+               tmerged=0, cuts=()):
     return Expansion(tuple((config, None) for config in successors),
-                     sleeps, reduced, pruned, slept, merged, tmerged, cuts)
+                     sleeps, pruned, slept, merged, tmerged, cuts)
 
 
 class StubExplorer:
@@ -226,7 +226,7 @@ def test_cycle_proviso_charges_only_the_full_expansion():
 
     table = {
         ("A", False, NO_SLEEP): _expansion(
-            "B", reduced=True, pruned=1000, merged=1000, tmerged=1000,
+            "B", pruned=1000, merged=1000, tmerged=1000,
             cuts=("reduced cut",)),
         ("A", True, NO_SLEEP): _expansion(
             "BC", merged=1, tmerged=2, cuts=("full cut",)),
@@ -273,8 +273,7 @@ def test_stop_mid_node_charges_the_expansion_in_flight(reduced):
 
     table = {
         ("A", False, NO_SLEEP): _expansion(
-            "B" if reduced else "BX", reduced=reduced, pruned=1000,
-            merged=4),
+            "B" if reduced else "BX", pruned=1000, merged=4),
         ("A", True, NO_SLEEP): _expansion("BX", merged=40),
     }
 
