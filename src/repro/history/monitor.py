@@ -31,7 +31,10 @@ meets the same pair many times (different interleavings reach the same
 a hit returns the stored state set.  Equal results are then one object,
 so the product's ``(configuration, states)`` dedup keys compare by
 identity.  ``_MONITOR_MEMO_CAP`` sizes the memo of monitors built after
-it is set; 0 stores nothing.
+it is set; 0 stores nothing.  Given the run's
+:class:`~repro.reduce.intern.Interner` (the product passes its
+explorer's), a monitor hash-conses every θ it builds, so equal abstract
+objects in its state sets are one object.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
+from ..reduce.intern import Interner
 from ..semantics.events import Event, InvokeEvent, ObjAbortEvent, ReturnEvent
 from ..semantics.search import BoundedCache
 from ..spec.absobj import AbsObj
@@ -73,20 +77,24 @@ def _lookup(pending: PendingMap, tid: int) -> Optional[PendingOp]:
 class SpecMonitor:
     """Forward linearizability monitor for a specification Γ."""
 
-    def __init__(self, spec: OSpec):
+    def __init__(self, spec: OSpec, interner: Optional[Interner] = None):
         self.spec = spec
         self._memo = BoundedCache(_MONITOR_MEMO_CAP)
+        #: The canonical instance of a θ (the identity without an
+        #: interner).
+        self._theta = interner.value if interner else lambda theta: theta
 
     def initial(self, theta: Optional[AbsObj] = None) -> StateSet:
         if theta is None:
             theta = self.spec.initial
-        return frozenset({(theta, ())})
+        return frozenset({(self._theta(theta), ())})
 
     def closure(self, states: StateSet) -> StateSet:
         """Saturate under "some pending operation linearizes now"."""
 
         seen = set(states)
         frontier = list(states)
+        intern = self._theta
         while frontier:
             theta, pending = frontier.pop()
             for tid, op in pending:
@@ -95,7 +103,8 @@ class SpecMonitor:
                 _, method, arg = op
                 gamma = self.spec.method(method)
                 for ret, theta2 in gamma.results(arg, theta):
-                    nxt = (theta2, _with_thread(pending, tid, ("end", ret)))
+                    nxt = (intern(theta2),
+                           _with_thread(pending, tid, ("end", ret)))
                     if nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)

@@ -24,7 +24,7 @@ checked on the initial object memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..lang.program import ObjectImpl, Program
 from ..memory.store import Store
@@ -116,9 +116,9 @@ class ProductSearch:
                  reduce: Optional[str] = None,
                  semantics: Optional[str] = None):
         self.limits = limits or Limits()
-        self.monitor = SpecMonitor(spec)
         self.explorer = Explorer(program, reduce=reduce,
                                  semantics=semantics)
+        self.monitor = SpecMonitor(spec, self.explorer.interner)
         self.states0 = self.monitor.initial(theta)
 
     def new_result(self, **fields) -> ObjectLinResult:
@@ -156,15 +156,17 @@ class ProductSearch:
 
         return search(frontier, node_budget, out,
                       max_depth=self.limits.max_depth,
-                      pinned=_hist_threads, **self.hooks(out))
+                      **self.hooks(out, _hist_threads))
 
-    def hooks(self, out: ObjectLinResult) -> dict:
+    def hooks(self, out: ObjectLinResult,
+              pinned: Optional[Callable] = None) -> dict:
         """The search hooks of a run into ``out``, shared by
         :meth:`run_from` and the random walk
         (:func:`~repro.semantics.search.walk`): the label is the node's
         (monitor state set, history), ``out.histories`` collects the
-        distinct histories, and a violation ends the run through
-        :class:`~repro.semantics.search.StopSearch`."""
+        distinct histories, a violation ends the run through
+        :class:`~repro.semantics.search.StopSearch`, and ``expand`` is
+        the explorer's, rotated by ``pinned`` and never memoized."""
 
         monitor = self.monitor
         histories = out.histories
@@ -192,7 +194,8 @@ class ProductSearch:
                 label = (states, hist)
             return label, (next_config, label[0])
 
-        return {"advance": advance, "explorer": self.explorer}
+        return {"advance": advance,
+                "expand": self.explorer.expander(pinned)}
 
     def run(self) -> ObjectLinResult:
         """The exact sequential search."""

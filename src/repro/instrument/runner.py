@@ -38,7 +38,17 @@ the differential oracle for the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import BoundExceeded, CompileUnsupported, InstrumentationError
 from ..lang.ast import Atomic, If, Noret, Return, Seq, Stmt, While
@@ -49,7 +59,13 @@ from ..semantics.eval import EvalError, eval_bool_in, eval_in
 from ..semantics.events import InvokeEvent, ReturnEvent, Trace
 from ..semantics.mgc import CallMenu
 from ..semantics.scheduler import Limits
-from ..semantics.search import BoundedCache, Node, SearchStats, search
+from ..semantics.search import (
+    BoundedCache,
+    Expansion,
+    Node,
+    SearchStats,
+    search,
+)
 from ..semantics.thread import (
     Env,
     Fault,
@@ -161,9 +177,9 @@ class InstrumentedObject:
         return problems
 
 
-@dataclass(frozen=True)
-class IConfig:
-    """Configuration of the instrumented machine."""
+class IConfig(NamedTuple):
+    """Configuration of the instrumented machine.  A named tuple: the
+    search builds and hashes a few per node, in C."""
 
     threads: Tuple[Tuple[ThreadState, int], ...]  # (state, ops_left)
     sigma_o: Store
@@ -419,7 +435,7 @@ class InstrumentedRunner:
         failures = result.failures
         recorded = 0
 
-        def expand(config, hist):
+        def expand(config, hist, _sleep, _full):
             nonlocal recorded
             recorded = len(failures)
             return self._expand(config, hist, result)
@@ -441,7 +457,7 @@ class InstrumentedRunner:
                 "done": lambda: len(failures) >= self.max_failures}
 
     def _expand(self, config: IConfig, hist: Trace,
-                result: InstrumentedRunResult):
+                result: InstrumentedRunResult) -> Expansion:
         threads = config.threads
         sigma_o, delta = config.sigma_o, config.delta
         memo = self._step_memo
@@ -478,7 +494,7 @@ class InstrumentedRunner:
                 out.append((None if entry is None else IConfig(
                     threads[:idx] + (entry,) + threads[idx + 1:],
                     sigma2, delta2), event))
-        return out
+        return Expansion(tuple(out), None, 0, 0, 0, 0, ())
 
     # The step rules below return thread-local successors ``(entry, σ_o',
     # Δ', event)``, where ``entry`` is the thread's new ``(state,

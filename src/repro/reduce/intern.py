@@ -20,7 +20,8 @@ when only configurations and stepping thread states were interned),
 2,016 thread states for 2,015 (14,270) and 1,050 frames for 1,050
 (10,971); EXPERIMENTS E24.
 :meth:`value` does the same for any other hashable immutable component
-(stores, and the Fig-11 witness runner's thread entries, σ_o and Δ):
+(stores, the Σ monitor's θ, and the Fig-11 witness runner's thread
+entries, σ_o and Δ):
 tuple and container comparisons between canonical instances then take
 CPython's identity shortcut.
 

@@ -27,7 +27,7 @@ from .events import (
     Trace,
 )
 from .scheduler import Limits
-from .search import SearchStats, note_diagnostics, search
+from .search import Expansion, SearchStats, search
 from .thread import (
     ThreadState,
     expand_until_visible,
@@ -110,8 +110,7 @@ class AbstractExplorer:
             return label, (next_config, label)
 
         if search(frontier, self.limits.max_nodes, result, advance,
-                  self.limits.max_depth,
-                  expand=lambda config, _label: self._expand(config, result)):
+                  self.limits.max_depth, expand=self._expand):
             result.bounded = True
         return result
 
@@ -136,12 +135,13 @@ class AbstractExplorer:
             configs = nxt
         return configs
 
-    def _expand(self, config: AbsConfig, result: AbsExplorationResult
-                ) -> List[Tuple[Optional["AbsConfig"], Tuple[Event, ...]]]:
-        """The successors of ``config``; a cut transition is noted on
-        ``result``, the run that met it."""
+    def _expand(self, config: AbsConfig, _label, _sleep, _full) -> Expansion:
+        """The search's ``expand`` hook: the successors of ``config``,
+        with one cut per divergent atomic block (no reduction here, so
+        the label, sleep set and ``full`` change nothing)."""
 
         out: List[Tuple[Optional[AbsConfig], Tuple[Event, ...]]] = []
+        cuts: Tuple[str, ...] = ()
         for idx, tstate in enumerate(config.threads):
             tid = idx + 1
             if not tstate.control:
@@ -156,7 +156,7 @@ class AbstractExplorer:
             except AtomicLoopDivergence as exc:
                 # Divergent atomic block: the transition is cut, but the
                 # truncation is surfaced instead of dropped silently.
-                note_diagnostics(result, (f"thread {tid}: {exc}",))
+                cuts += (f"thread {tid}: {exc}",)
                 continue
             except BoundExceeded:
                 continue
@@ -175,7 +175,7 @@ class AbstractExplorer:
                         AbsConfig(threads, sc, config.theta),
                         events,
                     ))
-        return out
+        return Expansion(tuple(out), None, 0, 0, 0, 0, cuts)
 
     def _expand_call(self, config: AbsConfig, idx: int, tid: int,
                      stmt: Call, tstate: ThreadState) -> List[

@@ -20,7 +20,16 @@ so expanding each such node once is complete.  The search itself is
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import AtomicLoopDivergence, BoundExceeded, CompileUnsupported
 from ..lang.program import ObjectImpl, Program
@@ -137,7 +146,7 @@ _SHAPE_MEMO_CAP = 1 << 16
 _STEP_MEMO_CAP = 1 << 15
 
 #: Entries held by the per-explorer expansion memo (see
-#: :meth:`Explorer._expand`), which only the explore client fills.
+#: :meth:`Explorer.expander`), which only the explore client fills.
 _EXPAND_MEMO_CAP = 1 << 13
 
 #: Whether an explorer hash-conses the stores, frames, thread states and
@@ -258,7 +267,7 @@ class Explorer:
         # A node's expansion depends only on its configuration and the
         # reduction context, not on its label: the explore client, which
         # reaches one configuration under many (history, trace) labels,
-        # replays it (see :meth:`_expand`).
+        # replays it (see :meth:`expander`).
         self._expand_memo = BoundedCache(_EXPAND_MEMO_CAP)
 
         # Sleep-set POR: independence is decided *only* on the static
@@ -542,15 +551,17 @@ class Explorer:
 
         return search(frontier, node_budget, result,
                       max_depth=self.limits.max_depth,
-                      pinned=_label_threads,
-                      expand_memo=self._expand_memo,
-                      **self.hooks(result))
+                      **self.hooks(result, _label_threads,
+                                   self._expand_memo))
 
-    def hooks(self, result: ExplorationResult) -> dict:
+    def hooks(self, result: ExplorationResult,
+              pinned: Optional[Callable] = None,
+              memo: Optional[BoundedCache] = None) -> dict:
         """The search hooks of a run into ``result``, shared by
         :meth:`run_from` and the random walk
         (:func:`~repro.semantics.search.walk`): the label is the node's
-        (history, observable trace), every reached one is recorded."""
+        (history, observable trace), every reached one is recorded, and
+        ``expand`` is :meth:`expander` ``(pinned, memo)``."""
 
         def advance(next_config, label, event):
             if event is not None:
@@ -568,30 +579,45 @@ class Explorer:
                 return None
             return label, (next_config, label)
 
-        return {"advance": advance, "explorer": self,
+        return {"advance": advance, "expand": self.expander(pinned, memo),
                 "terminal": result.terminal_configs.add}
 
-    def _expand(self, config: Config, full: bool = False,
-                sleep: FrozenSet[int] = NO_SLEEP,
-                tsym_k: Optional[int] = None,
-                memo: Optional[BoundedCache] = None) -> Expansion:
-        """The :class:`~repro.semantics.search.Expansion` of ``config``
-        (see :meth:`_successors`), replayed from ``memo``.
+    def expander(self, pinned: Optional[Callable] = None,
+                 memo: Optional[BoundedCache] = None) -> Callable:
+        """The search's ``expand(config, label, sleep, full)`` hook: the
+        :class:`~repro.semantics.search.Expansion` of ``config`` (see
+        :meth:`_successors`), replayed from ``memo``.
 
-        An expansion reads nothing but ``(config, full, sleep, tsym_k)``
-        and the explorer's fixed policy, and it is a value — successors,
-        sleep sets, its counts and its cuts — so ``memo`` stores the
-        record itself, keyed on exactly these; a hit is the fresh
-        expansion.  An expansion that raised is not stored.
+        ``pinned(label)`` names the threads an event of the node pinned;
+        without it (a walk) no successor is rotated.  An expansion reads
+        nothing but ``(config, full, sleep, tsym_k)`` and the explorer's
+        fixed policy, and it is a value, so ``memo`` stores the record
+        itself, keyed on exactly these; a hit is the fresh expansion.
         """
 
-        if memo is None:
-            return self._successors(config, full, sleep, tsym_k)
-        key = (config, full, sleep, tsym_k)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo.put(key, self._successors(config, full, sleep, tsym_k))
-        return hit
+        successors = self._successors
+        tsym = self._tsym if pinned is not None else None
+
+        def expand(config, label, sleep=NO_SLEEP, full=False):
+            tsym_k = None
+            if tsym is not None:
+                threads = pinned(label)
+                k = len(threads)
+                # Rotate only while the canonical-pinning invariant
+                # (event-emitting threads are exactly 1..k) holds — a
+                # permutation bail on an ancestor may have broken it,
+                # and rotating then would rename a pinned identity.
+                if not threads or max(threads) == k:
+                    tsym_k = k
+            if memo is None:
+                return successors(config, full, sleep, tsym_k)
+            key = (config, full, sleep, tsym_k)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo.put(key, successors(config, full, sleep, tsym_k))
+            return hit
+
+        return expand
 
     def _successors(self, config: Config, full: bool,
                     sleep: FrozenSet[int], tsym_k: Optional[int]

@@ -3,44 +3,29 @@
 Def-2 linearizability searches configuration × Σ, Def-3 refinement
 searches configuration × history × trace (and the abstract program),
 and the Fig-11 witness searches configuration × Δ.  All of them are the
-same depth-first search; :func:`search` is that search, written once.
-It owns
+same depth-first search; :func:`search` is that search, written once,
+and :func:`walk` samples it.  A decider hands either one the same hooks:
 
-* the stack and the node budget, charged exactly on expansion;
-* the seen-dict and, under sleep-set POR, the sleep sets it stores;
-* the sleep-wake and cycle-proviso re-expansions, and the charging of
-  the reduction counts: the explorer hands back each expansion as an
-  :class:`Expansion` value, and the search charges a node with the one
-  it keeps and notes the cuts of every one it computed;
-* the depth rule (see :class:`~repro.semantics.scheduler.Limits`);
-* spill/resume: the nodes left when the budget runs out are returned;
-* the :class:`SearchStats` record every decider's result is: node
-  count, diagnostics, elapsed time, the dedup and reduction counters,
-  and the ``expanded_keys`` collection the parallel driver digests;
-* early stop;
-* the collector pause: the cyclic garbage collector is off for the
-  length of a search and back in its entry state on every exit.  Search
-  state (configurations, labels, keys, the seen-dict and the memos)
-  forms no reference cycles, so a collection inside a search frees
-  nothing and only walks the growing heap;
-  ``tests/test_search_stats.py`` checks after each decider's search
-  that ``gc.collect()`` finds no cyclic garbage;
-* the replay of repeated expansions: a client whose labels reach one
-  configuration many times (explore, keyed on history and trace) hands
-  in an ``expand_memo``, and a node whose configuration and reduction
-  context were expanded before replays the stored :class:`Expansion`.
-  The Def-2 product passes none: a memo there cost peak memory and
-  saved no time when it was sized.
+* ``expand(config, label, sleep, full)`` returns the node's successors
+  as an :class:`Expansion` value.  ``sleep`` is the node's sleep set and
+  ``full`` asks for no reduction at all; a decider without reductions
+  ignores both and counts nothing.  The explorer's reductions and its
+  expansion memo stay behind the hook
+  (:meth:`~repro.semantics.scheduler.Explorer.expander`);
+* ``advance(next_config, label, event)`` says how a successor's event
+  advances the node's *label* (the part of a node beyond the
+  configuration: history and trace, monitor state set, ...) and gives
+  the successor's dedup key.
 
-A client supplies how a successor's event advances its *label* (the
-part of a node beyond the configuration: history and trace, monitor
-state set, ...) and the successor's dedup key, both from one
-``advance`` call.
-
-:func:`walk` is the same search with a stack of one: the seeded random
-walks of :mod:`repro.engine.random_walk` run a decider's own hooks
-through it, so the depth rule, the charging, early stop and the
-collector pause are the search's, written once.
+One loop, :func:`_drive`, judges every node of both: the sleep-wake and
+cycle-proviso re-expansions, the charging of the expansion a node keeps
+and the noting of every expansion's cuts, the depth rule (see
+:class:`~repro.semantics.scheduler.Limits`), early stop, and the
+collector pause: the cyclic collector is off while the loop runs and
+back in its entry state on every exit.  Search state forms no reference
+cycles, so a collection there frees nothing and only walks the growing
+heap (``tests/test_search_stats.py`` checks that no decider's run leaves
+cyclic garbage).
 
 A search node is ``(config, label, depth, key)``; the stack also carries
 the node's sleep set, which a spilled frontier drops again (waking a
@@ -56,6 +41,7 @@ from time import perf_counter
 from typing import (
     Callable,
     FrozenSet,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -164,8 +150,8 @@ class SearchStats:
 
 
 class Expansion(NamedTuple):
-    """One node's expansion by
-    :meth:`~repro.semantics.scheduler.Explorer._expand`, as a value.
+    """One node's expansion, as the ``expand`` hook hands it to the
+    search.
 
     It describes the expansion that produced it and nothing else, so a
     memo can replay it and a run charges exactly the expansions it keeps
@@ -243,104 +229,43 @@ def note_diagnostics(result: SearchStats, messages: Sequence[str]) -> None:
         result.diagnostics = result.diagnostics + tuple(fresh)
 
 
-def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
-           advance: Callable, max_depth: int, *,
-           explorer=None,
-           pinned: Optional[Callable] = None,
-           expand: Optional[Callable] = None,
-           terminal: Optional[Callable] = None,
-           cut: Optional[Callable] = None,
-           done: Optional[Callable] = None,
-           expand_memo: Optional[BoundedCache] = None) -> List[Node]:
-    """Expand up to ``node_budget`` nodes from ``frontier``.
+def _drive(nodes: Iterator[tuple], stack: List[tuple], seen: Optional[dict],
+           result: SearchStats, advance: Callable, expand: Callable,
+           max_depth: int, terminal: Optional[Callable],
+           cut: Optional[Callable], done: Optional[Callable]) -> None:
+    """Judge every ``(config, label, depth, key, sleep)`` node ``nodes``
+    yields: the loop :func:`search` and :func:`walk` share.
 
-    Mutates ``result`` in place — ``nodes``, ``bounded``,
-    ``diagnostics``, ``dedup_hits``/``dedup_lookups``, ``elapsed``,
-    ``expanded_keys`` when it is a list, and the reduction counters when
-    an ``explorer`` is given — and returns the spilled frontier: the
-    nodes left unexpanded when the budget ran out, ``[]`` when the
-    subtree was exhausted or the search stopped early.  A node is charged
-    against the budget only when it is expanded, so ``result.nodes``
-    counts expansions exactly across spill/resume cycles.  The cyclic
-    collector is paused while the search runs and left as it was found.
-
-    ``advance(next_config, label, event)`` is called for every successor
-    (``next_config`` is ``None`` when the step aborted) and returns
-    ``(next_label, next_key)``, or ``None`` to drop the successor; it
-    may raise :class:`StopSearch`.
-
-    Successors come from the :class:`Expansion` of ``explorer._expand``
-    when an :class:`~repro.semantics.scheduler.Explorer` is given — with
-    its sleep sets, thread-identity rotation (``pinned(label)`` names the
-    threads whose identity an event already fixed) and the cycle
-    proviso — and from ``expand(config, label)`` otherwise.  A node is
-    charged with the one expansion it keeps (the one whose successors
-    were advanced last, also when :class:`StopSearch` ended it), and the
-    cuts of every expansion computed are noted on ``result``.
-    ``terminal(config)`` sees every node without successors;
-    ``cut()`` runs when a node at the depth cap had successors, which
-    are dropped; ``done()`` is asked after every node whether to stop.
-    ``expand_memo`` is handed to every ``explorer._expand`` call (see
-    :meth:`~repro.semantics.scheduler.Explorer._expand`).
+    Each successor ``advance`` keeps goes on ``stack`` with its sleep
+    set, unless the ``seen`` dict (``None`` in a walk) covers it.
+    ``result`` gets ``nodes``, ``bounded``, ``diagnostics``, the
+    reduction and dedup counters and ``elapsed``.
     """
 
-    tsym = explorer._tsym if explorer is not None else None
-    keys = result.expanded_keys
-    # Under sleep sets the seen-dict remembers the smallest sleep set
-    # each key was pushed with (Godefroid's variant): a revisit with a
-    # superset sleep is covered by the earlier visit, anything else
-    # re-explores with the intersection.
-    seen = {}
-    stack: List[tuple] = []
-    for node in frontier:
-        seen[node[3]] = NO_SLEEP
-        stack.append((*node, NO_SLEEP))
-    expanded = 0
-    hits = lookups = 0
-    started = perf_counter()
-    # The explorer's expansion of the node in flight, charged when the
-    # node is done with it.
+    expanded = hits = lookups = 0
+    # The expansion of the node in flight, charged when the node is done
+    # with it.
     exp = None
+    started = perf_counter()
     collecting = gc.isenabled()
     gc.disable()
 
     try:
-        while stack:
-            if expanded >= node_budget:
-                return [n[:4] for n in stack]
-            config, label, depth, key, sleep = stack.pop()
+        for config, label, depth, _key, sleep in nodes:
             expanded += 1
-            if keys is not None:
-                keys.append(key)
-            if explorer is None:
-                successors = expand(config, label)
-                sleeps = None
-            else:
-                tsym_k = None
-                if tsym is not None:
-                    threads = pinned(label)
-                    k = len(threads)
-                    # Rotate only while the canonical-pinning invariant
-                    # (event-emitting threads are exactly 1..k) holds — a
-                    # permutation bail on an ancestor may have broken it,
-                    # and rotating then would rename a pinned identity.
-                    if not threads or max(threads) == k:
-                        tsym_k = k
-                exp = explorer._expand(config, sleep=sleep, tsym_k=tsym_k,
-                                       memo=expand_memo)
+            exp = expand(config, label, sleep, False)
+            if exp.cuts:
+                note_diagnostics(result, exp.cuts)
+            successors = exp.successors
+            if not successors and exp.slept:
+                # Every runnable thread was asleep.  Their futures are
+                # covered by earlier siblings, but recording the node as
+                # terminal would be wrong (it is not quiescent) —
+                # re-expand ignoring sleep.
+                exp = expand(config, label, NO_SLEEP, False)
                 if exp.cuts:
                     note_diagnostics(result, exp.cuts)
-                if not exp.successors and exp.slept:
-                    # Every runnable thread was asleep.  Their futures are
-                    # covered by earlier siblings, but recording the node
-                    # as terminal would be wrong (it is not quiescent) —
-                    # re-expand ignoring sleep.
-                    exp = explorer._expand(config, tsym_k=tsym_k,
-                                           memo=expand_memo)
-                    if exp.cuts:
-                        note_diagnostics(result, exp.cuts)
                 successors = exp.successors
-                sleeps = exp.sleeps
             if not successors:
                 # Quiescent or deadlocked.
                 if terminal is not None:
@@ -352,56 +277,50 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
                 if cut is not None:
                     cut()
             else:
+                depth += 1
                 while True:
                     fresh = 0
+                    sleeps = exp.sleeps
                     for sidx, (next_config, event) in enumerate(successors):
                         step = advance(next_config, label, event)
                         if step is None:
                             continue
                         next_label, next_key = step
                         ns = sleeps[sidx] if sleeps is not None else NO_SLEEP
-                        lookups += 1
-                        stored = seen.get(next_key)
-                        if stored is not None:
-                            if stored <= ns:
-                                hits += 1
-                                continue
-                            # Seen before, but with threads asleep that
-                            # are awake now: re-explore with the
-                            # intersection so no future is lost.
-                            ns = stored & ns
-                        seen[next_key] = ns
-                        stack.append((next_config, next_label, depth + 1,
+                        if seen is not None:
+                            lookups += 1
+                            stored = seen.get(next_key)
+                            if stored is not None:
+                                if stored <= ns:
+                                    hits += 1
+                                    continue
+                                # Seen before, but with threads asleep
+                                # that are awake now: re-explore with the
+                                # intersection so no future is lost.
+                                ns = stored & ns
+                            seen[next_key] = ns
+                        stack.append((next_config, next_label, depth,
                                       next_key, ns))
                         fresh += 1
-                    if fresh == 0 and exp is not None and (
-                            exp.pruned or exp.slept):
-                        # Cycle proviso: the prioritized (or non-slept)
-                        # threads' successors all dedup into already-seen
-                        # nodes, so following only them could starve the
-                        # other threads' futures (a cycle of invisible
-                        # private steps).  Re-expand the node without any
-                        # reduction; the pruned successors stay
-                        # deduplicated.
-                        exp = explorer._expand(config, full=True,
-                                               tsym_k=tsym_k,
-                                               memo=expand_memo)
-                        if exp.cuts:
-                            note_diagnostics(result, exp.cuts)
-                        successors = exp.successors
-                        sleeps = exp.sleeps
-                        continue
-                    break
-            if exp is not None:
-                result.charge(exp)
-                exp = None
+                    if fresh or not (exp.pruned or exp.slept):
+                        break
+                    # Cycle proviso: the prioritized (or non-slept)
+                    # threads' successors all dedup into already-seen
+                    # nodes, so following only them could starve the
+                    # other threads' futures (a cycle of invisible
+                    # private steps).  Re-expand the node without any
+                    # reduction; the pruned successors stay deduplicated.
+                    exp = expand(config, label, NO_SLEEP, True)
+                    if exp.cuts:
+                        note_diagnostics(result, exp.cuts)
+                    successors = exp.successors
+            result.charge(exp)
+            exp = None
             if done is not None and done():
-                return []
-        return []
+                return
     except StopSearch:
         if exp is not None:
             result.charge(exp)
-        return []
     finally:
         if collecting:
             gc.enable()
@@ -411,10 +330,56 @@ def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
         result.elapsed += perf_counter() - started
 
 
+def search(frontier: Sequence[Node], node_budget: int, result: SearchStats,
+           advance: Callable, max_depth: int, *, expand: Callable,
+           terminal: Optional[Callable] = None,
+           cut: Optional[Callable] = None,
+           done: Optional[Callable] = None) -> List[Node]:
+    """Expand up to ``node_budget`` nodes from ``frontier``.
+
+    Mutates ``result`` in place (see :func:`_drive`; ``expanded_keys``
+    too when it is a list) and returns the spilled frontier: the nodes
+    left unexpanded when the budget ran out, ``[]`` when the subtree was
+    exhausted or the search stopped early.  A node is charged against
+    the budget only when it is expanded, so ``result.nodes`` counts
+    expansions exactly across spill/resume cycles.
+
+    ``advance`` returns ``(next_label, next_key)``, or ``None`` to drop
+    the successor, and may raise :class:`StopSearch`.
+    ``terminal(config)`` sees every node without successors; ``cut()``
+    runs when a node at the depth cap had successors, which are
+    dropped; ``done()`` is asked after every node whether to stop.
+    """
+
+    keys = result.expanded_keys
+    # Under sleep sets the seen-dict remembers the smallest sleep set
+    # each key was pushed with (Godefroid's variant): a revisit with a
+    # superset sleep is covered by the earlier visit, anything else
+    # re-explores with the intersection.
+    seen = {}
+    stack: List[tuple] = []
+    for node in frontier:
+        seen[node[3]] = NO_SLEEP
+        stack.append((*node, NO_SLEEP))
+    spill: List[Node] = []
+
+    def nodes():
+        for _ in range(node_budget):
+            if not stack:
+                return
+            node = stack.pop()
+            if keys is not None:
+                keys.append(node[3])
+            yield node
+        spill.extend(node[:4] for node in stack)
+
+    _drive(nodes(), stack, seen, result, advance, expand, max_depth,
+           terminal, cut, done)
+    return spill
+
+
 def walk(starts: Sequence[Node], walks: int, seed: int, result: SearchStats,
-         advance: Callable, max_depth: int, *,
-         explorer=None,
-         expand: Optional[Callable] = None,
+         advance: Callable, max_depth: int, *, expand: Callable,
          terminal: Optional[Callable] = None,
          cut: Optional[Callable] = None,
          done: Optional[Callable] = None) -> None:
@@ -422,18 +387,12 @@ def walk(starts: Sequence[Node], walks: int, seed: int, result: SearchStats,
     stack of one.
 
     Walk ``i`` starts from ``starts[i % len(starts)]``, so every start is
-    walked and a single start draws no randomness.  Each node is
-    expanded (``explorer._expand`` unreduced by sleep sets and identity
-    rotation, or ``expand``) and charged, judged by the depth rule
-    (``terminal``/``cut``) and has ``advance`` called on every
-    successor, exactly as in :func:`search`; ``done()`` is asked after
-    the node, and it or :class:`StopSearch` ends all walks.  The walk
-    then steps to one successor ``advance`` kept, picked uniformly by
-    ``random.Random(seed)``, until a node keeps none.  No seen-set is
-    kept; ``result`` gets ``nodes``, ``bounded``, ``diagnostics``, the
-    reduction counters and ``elapsed``, and the collector is paused as
-    in :func:`search`.  The same seed, walk count and source tree
-    reproduce the same result.
+    walked and a single start draws no randomness.  Each node is judged
+    awake by the search's own loop, with its hooks; the walk then steps
+    to one successor ``advance`` kept, picked uniformly by
+    ``random.Random(seed)``, until a node keeps none.  ``done()`` or
+    :class:`StopSearch` ends all walks.  No seen-set is kept.  The same
+    seed, walk count and source tree reproduce the same result.
 
     Every walk is a path of the search graph, and ``advance`` sees only
     successors of nodes on it, so every history or trace a walk records
@@ -446,47 +405,20 @@ def walk(starts: Sequence[Node], walks: int, seed: int, result: SearchStats,
     """
 
     rng = random.Random(seed)
-    expanded = 0
-    started = perf_counter()
-    collecting = gc.isenabled()
-    gc.disable()
+    kept: List[tuple] = []
 
-    try:
+    def nodes():
         for i in range(walks if starts else 0):
-            config, label, depth, _key = starts[i % len(starts)]
+            config, label, depth, key = starts[i % len(starts)]
             while True:
-                expanded += 1
-                if explorer is None:
-                    successors = expand(config, label)
-                else:
-                    exp = explorer._expand(config)
-                    result.charge(exp)
-                    if exp.cuts:
-                        note_diagnostics(result, exp.cuts)
-                    successors = exp.successors
-                kept = []
-                if not successors:
-                    if terminal is not None:
-                        terminal(config)
-                elif depth >= max_depth:
-                    result.bounded = True
-                    if cut is not None:
-                        cut()
-                else:
-                    for next_config, event in successors:
-                        step = advance(next_config, label, event)
-                        if step is not None:
-                            kept.append((next_config, step[0]))
-                if done is not None and done():
-                    return
+                kept.clear()
+                # A walk runs awake: the sleep set a step carries is
+                # dropped.
+                yield config, label, depth, key, NO_SLEEP
                 if not kept:
                     break
-                config, label = kept[rng.randrange(len(kept))]
-                depth += 1
-    except StopSearch:
-        pass
-    finally:
-        if collecting:
-            gc.enable()
-        result.nodes += expanded
-        result.elapsed += perf_counter() - started
+                config, label, depth, key, _sleep = kept[
+                    rng.randrange(len(kept))]
+
+    _drive(nodes(), kept, None, result, advance, expand, max_depth,
+           terminal, cut, done)

@@ -426,13 +426,14 @@ def test_memo_replays_an_expansion_with_its_cut():
     explorer = Explorer(mgc_program(_divergent_impl(), _SPIN_MENU,
                                     threads=1, ops_per_thread=1))
     memo = explorer._expand_memo
+    expand = explorer.expander(memo=memo)
     start = explorer.start_nodes()[0][0]
-    ((invoked, event),) = explorer._expand(start, memo=memo).successors
+    ((invoked, event),) = expand(start, None).successors
     assert event.is_invocation and len(memo) == 1
-    fresh = explorer._expand(invoked, memo=memo)
+    fresh = expand(invoked, None)
     assert fresh.successors == () and len(fresh.cuts) == 1
     assert "fuel" in fresh.cuts[0] and len(memo) == 2
-    assert explorer._expand(invoked, memo=memo) is fresh
+    assert expand(invoked, None) is fresh
 
 
 def _abstract_spinner():

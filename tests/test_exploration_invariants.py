@@ -451,15 +451,20 @@ def test_small_memo_capacity_bounds_the_memos(monkeypatch):
     _set_memo_cap(monkeypatch, 8)
     explorer = Explorer(program)
     peak = dict.fromkeys(EXPLORER_MEMOS, 0)
-    expand = explorer._expand
+    expander = explorer.expander
 
     def watched(*args, **kwargs):
-        out = expand(*args, **kwargs)
-        for attr in peak:
-            peak[attr] = max(peak[attr], len(getattr(explorer, attr)))
-        return out
+        expand = expander(*args, **kwargs)
 
-    explorer._expand = watched
+        def watched_expand(*args, **kwargs):
+            out = expand(*args, **kwargs)
+            for attr in peak:
+                peak[attr] = max(peak[attr], len(getattr(explorer, attr)))
+            return out
+
+        return watched_expand
+
+    explorer.expander = watched
     small = explorer.run()
     assert all(0 < n <= 8 for n in peak.values()), peak
     assert (small.nodes, small.histories, small.observables) == \
@@ -552,6 +557,23 @@ def test_explorer_interning_shares_equal_components(monkeypatch):
         assert all(_unshared(v) > 0 for v in parts.values())
 
 
+def test_monitor_interns_every_theta():
+    """The product's Σ monitor hash-conses every θ it builds with the
+    explorer's interner: each θ in its memo, in a key's state set or in
+    a stored one, is the interner's canonical instance."""
+
+    alg = algorithm("treiber")
+    product = ProductSearch(_program("treiber", threads=3), alg.spec,
+                            alg.limits)
+    assert product.run().ok
+    thetas = [theta for (states, _event), stored
+              in product.monitor._memo.items()
+              for theta, _pending in (*states, *stored)]
+    canonical = product.explorer.interner._values
+    assert len(thetas) > len(set(thetas)) > 1
+    assert all(canonical.get(theta) is theta for theta in thetas)
+
+
 # ---------------------------------------------------------------------------
 # The expansion memo: exact replay, explore client only
 # ---------------------------------------------------------------------------
@@ -567,12 +589,17 @@ def _refinement_record(monkeypatch, name, threads):
                     for t in range(1, threads + 1))
     calls = {"expand": 0, "fresh": 0}
     explored = []
-    expand, successors = Explorer._expand, Explorer._successors
+    expander, successors = Explorer.expander, Explorer._successors
     tap = observable_mod.explore
 
-    def counted_expand(self, *args, **kwargs):
-        calls["expand"] += 1
-        return expand(self, *args, **kwargs)
+    def counted_expander(self, *args, **kwargs):
+        expand = expander(self, *args, **kwargs)
+
+        def counted_expand(*args, **kwargs):
+            calls["expand"] += 1
+            return expand(*args, **kwargs)
+
+        return counted_expand
 
     def counted_successors(self, *args):
         calls["fresh"] += 1
@@ -583,7 +610,7 @@ def _refinement_record(monkeypatch, name, threads):
         return explored[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(Explorer, "_expand", counted_expand)
+        patch.setattr(Explorer, "expander", counted_expander)
         patch.setattr(Explorer, "_successors", counted_successors)
         patch.setattr(observable_mod, "explore", tapped)
         refines = check_clients_refinement(alg.impl, alg.spec, clients,

@@ -8,9 +8,10 @@ A decider that wraps another's run reports that run's record unchanged.
 
 The search core charges each node with the one
 :class:`~repro.semantics.search.Expansion` it keeps and notes the cuts
-of every expansion it computed; a stub explorer whose expansions are a
-table drives each re-expansion path (cycle proviso, sleep-wake), an
-early stop and a budget spill.  The random walks run the same rules
+of every expansion it computed; a stub ``expand`` hook whose expansions
+are a table drives each re-expansion path (cycle proviso, sleep-wake),
+an expansion that is never re-expanded, an early stop and a budget
+spill.  The random walks run the same rules
 through :func:`~repro.semantics.search.walk`, which the stub drives
 through a terminal node, a cut, ``done`` and an early stop.
 
@@ -183,18 +184,15 @@ def _expansion(successors=(), sleeps=None, pruned=0, slept=0, merged=0,
                      sleeps, pruned, slept, merged, tmerged, cuts)
 
 
-class StubExplorer:
-    """An explorer whose expansions are a table keyed on
+class StubExpand:
+    """An ``expand`` hook whose expansions are a table keyed on
     ``(config, full, sleep)``; it records every call."""
-
-    _tsym = None
 
     def __init__(self, table):
         self.table = table
         self.calls = []
 
-    def _expand(self, config, full=False, sleep=NO_SLEEP, tsym_k=None,
-                memo=None):
+    def __call__(self, config, label, sleep=NO_SLEEP, full=False):
         self.calls.append((config, full, sleep))
         return self.table[config, full, sleep]
 
@@ -205,13 +203,13 @@ def _advance(next_config, label, event):
 
 def _run(table, roots, budget=100, advance=_advance):
     """Search from ``roots`` (configurations, which are their own keys)
-    on a stub explorer; returns the result, the spill and the calls."""
+    with a stub ``expand``; returns the result, the spill and the calls."""
 
-    stub = StubExplorer(table)
+    stub = StubExpand(table)
     result = SearchStats()
     terminal = []
     spill = search([(c, None, 0, c) for c in roots], budget, result,
-                   advance, 10, explorer=stub, terminal=terminal.append)
+                   advance, 10, expand=stub, terminal=terminal.append)
     return result, spill, stub.calls, terminal
 
 
@@ -297,10 +295,27 @@ def test_budget_spill_charges_each_node_once_when_expanded():
     result, spill, _, _ = _run(table, "A", budget=1)
     assert [node[3] for node in spill] == ["B", "C"]
     assert result.nodes == 1 and _counts(result) == (0, 0, 1, 0)
-    stub = StubExplorer(table)
+    stub = StubExpand(table)
     while spill:
-        spill = search(spill, 1, result, _advance, 10, explorer=stub)
+        spill = search(spill, 1, result, _advance, 10, expand=stub)
     assert result.nodes == 3 and _counts(result) == (0, 0, 111, 0)
+
+
+def test_unreduced_expansion_is_never_re_expanded():
+    """An expansion that pruned and slept nothing (every decider without
+    reductions hands in only these) is expanded once, even when all its
+    successors dedup, and charges nothing."""
+
+    table = {
+        ("A", False, NO_SLEEP): _expansion("B"),
+        ("B", False, NO_SLEEP): _expansion("A"),
+    }
+    result, spill, calls, terminal = _run(table, "AB")
+    assert spill == [] and result.nodes == 2
+    assert calls == [("B", False, NO_SLEEP), ("A", False, NO_SLEEP)]
+    assert result.dedup_lookups == result.dedup_hits == 2
+    assert _counts(result) == (0, 0, 0, 0)
+    assert terminal == [] and not result.bounded
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +325,15 @@ def test_budget_spill_charges_each_node_once_when_expanded():
 
 def _walk(table, roots, walks=1, advance=_advance, max_depth=10,
           done=None):
-    """Walk from ``roots`` on a stub explorer, as :func:`_run` searches;
-    returns the result, the calls, the terminal nodes and the cuts."""
+    """Walk from ``roots`` with a stub ``expand``, as :func:`_run`
+    searches; returns the result, the calls, the terminal nodes and the
+    cuts."""
 
-    stub = StubExplorer(table)
+    stub = StubExpand(table)
     result = SearchStats()
     terminal, cuts = [], []
     walk([(c, None, 0, c) for c in roots], walks, 0, result, advance,
-         max_depth, explorer=stub, terminal=terminal.append,
+         max_depth, expand=stub, terminal=terminal.append,
          cut=lambda: cuts.append(len(stub.calls)), done=done)
     return result, stub.calls, terminal, cuts
 
@@ -341,6 +357,19 @@ def test_walk_charges_each_step_and_reaches_the_terminal_node():
     assert result.nodes == 8 and _counts(result) == (2, 0, 30, 300)
     assert terminal == ["C", "C", "C"] and cuts == []
     assert not result.bounded and result.elapsed > 0
+
+
+def test_walk_expands_every_node_awake():
+    """A walk drops the sleep set a successor carries: B is expanded
+    awake (the table has no asleep entry for it)."""
+
+    table = {
+        ("A", False, NO_SLEEP): _expansion("B", sleeps=(frozenset({2}),)),
+        ("B", False, NO_SLEEP): _expansion(),
+    }
+    result, calls, terminal, _ = _walk(table, "A")
+    assert calls == [("A", False, NO_SLEEP), ("B", False, NO_SLEEP)]
+    assert terminal == ["B"] and result.nodes == 2
 
 
 def test_walk_cuts_a_node_at_the_cap_with_successors():
