@@ -7,8 +7,8 @@ reported are per-pipeline wall-clock costs, not micro-benchmarks.
 The ``REPRO_ENGINE`` environment variable selects the exploration
 engine for the verification benches (E1/E4/E5/E7/E8): unset means the
 sequential default; any :func:`repro.engine.resolve_engine` spelling
-works, e.g. ``REPRO_ENGINE=parallel``, ``parallel+noreduce``,
-``sequential+memo`` or ``sequential+por``.  Every engine produces
+works, e.g. ``REPRO_ENGINE=parallel``, ``parallel+noreduce`` or
+``sequential+por``.  Every engine produces
 identical verdicts and history/observable sets, so the benches assert
 the same outcomes regardless — only the timings change.
 """

@@ -1,14 +1,12 @@
-"""Exploration engines: sequential, parallel, random-walk, memoized.
+"""Exploration engines: sequential, parallel, random-walk.
 
 Public surface:
 
-* :class:`EngineSpec` / :func:`resolve_engine` / :func:`with_memo` —
-  choose and configure an engine; every exploration entry point accepts
-  the result (or its string spelling) as ``engine=``;
+* :class:`EngineSpec` / :func:`resolve_engine` — choose and configure
+  an engine; every exploration entry point accepts the result (or its
+  string spelling) as ``engine=``;
 * :func:`canonical_bytes` / :func:`canonical_digest` — process-stable
-  structural state hashing;
-* :class:`MemoCache` / :func:`open_cache` / :func:`memo_key` /
-  :func:`code_fingerprint` — the persistent result cache.
+  structural state hashing.
 """
 
 from .api import (
@@ -17,17 +15,8 @@ from .api import (
     SEQUENTIAL,
     EngineSpec,
     resolve_engine,
-    with_memo,
 )
-from .canonical import canonical_bytes, canonical_digest, canonical_hex
-from .memo import (
-    ENV_CACHE_DIR,
-    MemoCache,
-    code_fingerprint,
-    default_cache_dir,
-    memo_key,
-    open_cache,
-)
+from .canonical import canonical_bytes, canonical_digest
 
 __all__ = [
     "SEQUENTIAL",
@@ -35,14 +24,6 @@ __all__ = [
     "RANDOM_WALK",
     "EngineSpec",
     "resolve_engine",
-    "with_memo",
     "canonical_bytes",
     "canonical_digest",
-    "canonical_hex",
-    "ENV_CACHE_DIR",
-    "MemoCache",
-    "code_fingerprint",
-    "default_cache_dir",
-    "memo_key",
-    "open_cache",
 ]

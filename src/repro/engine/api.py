@@ -13,20 +13,14 @@ an ``engine=`` argument.  It may be
   :mod:`repro.engine.random_walk` for bounds too large to exhaust
   (under-approximate: results carry ``exhaustive=False`` and must never
   be read as exhaustive verdicts);
-* an :class:`EngineSpec` for full control (worker count, memoization,
-  seed, ...).
-
-``EngineSpec(memo=True)`` additionally consults the persistent on-disk
-cache of :mod:`repro.engine.memo` before exploring and stores the result
-after: repeated benchmark runs with an unchanged source tree skip the
-exploration entirely.
+* an :class:`EngineSpec` for full control (worker count, seed, ...).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 from ..compile import DEFAULT_SEMANTICS, SEMANTICS_MODES
 from ..errors import ReproError
@@ -53,10 +47,9 @@ class EngineSpec:
     kind: str = SEQUENTIAL
     #: Worker processes for ``parallel`` (0 = one per CPU).
     workers: int = 0
-    #: Consult/update the persistent on-disk memo cache.
+    #: ``True`` raises: the persistent verdict cache was removed, and the
+    #: field stays only for callers that still pass ``memo=False``.
     memo: bool = False
-    #: Cache directory override (else ``REPRO_ENGINE_CACHE`` / default).
-    cache_dir: Optional[str] = None
     #: PRNG seed for ``random-walk`` (results are reproducible per seed).
     seed: int = 0
     #: Number of walks for ``random-walk``.
@@ -81,6 +74,8 @@ class EngineSpec:
     semantics: str = DEFAULT_SEMANTICS
 
     def __post_init__(self):
+        if self.memo:
+            raise ReproError("the persistent verdict cache was removed")
         if self.kind not in KINDS:
             raise ReproError(
                 f"unknown engine kind {self.kind!r}; known: {KINDS}")
@@ -111,15 +106,13 @@ class EngineSpec:
     def spelling(self) -> str:
         """The canonical ``"+"``-joined string form of this spec.
 
-        ``resolve_engine(spec.spelling())`` reproduces ``kind``, ``memo``,
+        ``resolve_engine(spec.spelling())`` reproduces ``kind``,
         ``reduce`` and ``semantics``; numeric knobs
         (workers, seed, walks, spill budget) have no string form and
         fall back to their defaults on the round trip.
         """
 
         bits = [self.kind]
-        if self.memo:
-            bits.append("memo")
         if self.reduce != DEFAULT_REDUCE:
             if self.reduce == REDUCE_NONE:
                 bits.append("noreduce")
@@ -136,8 +129,6 @@ class EngineSpec:
         if self.kind == RANDOM_WALK:
             bits.append(f"walks={self.walks}")
             bits.append(f"seed={self.seed}")
-        if self.memo:
-            bits.append("memo")
         if self.reduce != DEFAULT_REDUCE:
             bits.append(f"reduce={self.reduce}")
         if self.semantics != DEFAULT_SEMANTICS:
@@ -167,7 +158,7 @@ def resolve_engine(engine: Engine) -> EngineSpec:
 #: Order-insensitive: ``"parallel+por+sym+tsym+compiled"`` and
 #: ``"parallel+compiled+tsym+sym+por"`` resolve identically.
 _MODIFIERS = frozenset(
-    {"memo", "noreduce", "por", "sym", "tsym", "interp", "compiled"})
+    {"noreduce", "por", "sym", "tsym", "interp", "compiled"})
 
 _REDUCTION_FLAGS = frozenset({"por", "sym", "tsym"})
 
@@ -231,13 +222,7 @@ def _parse_spelling(text: str) -> EngineSpec:
 
     return EngineSpec(
         kind=kind,
-        memo="memo" in seen,
         reduce=reduce,
         semantics=semantics,
     )
 
-
-def with_memo(engine: Engine, memo: bool = True) -> EngineSpec:
-    """The resolved engine with memoization switched on/off."""
-
-    return replace(resolve_engine(engine), memo=memo)

@@ -2,13 +2,14 @@
 
 Statements hash by identity (``eq=False`` — see :mod:`repro.lang.ast`),
 and Python's built-in ``hash`` for strings is salted per process, so
-neither can key a seen-set that is shared *across* worker processes or a
-memo cache that persists *across* runs.  This module provides a stable
-structural encoding instead: :func:`canonical_bytes` linearises any value
-built from the repository's state vocabulary (ints, strings, tuples,
-frozensets, :class:`~repro.memory.store.Store`, AST nodes, events,
-configurations, ...) into a deterministic byte string, and
-:func:`canonical_digest` compresses it with BLAKE2b.
+neither can key a seen-set that is shared *across* worker processes.
+This module provides a stable structural encoding instead:
+:func:`canonical_bytes` linearises any value built from the
+repository's state vocabulary (``None``, booleans, ints, strings,
+tuples, frozensets, :class:`~repro.memory.store.Store`, and dataclasses
+of these: AST nodes, events, frames, thread states, configurations) into
+a deterministic byte string, and :func:`canonical_digest` compresses it
+with BLAKE2b.
 
 Two values receive the same digest iff they are structurally equal — in
 particular, two :class:`~repro.semantics.scheduler.Config` objects that
@@ -22,11 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Iterable
 
-from ..lang.program import ObjectImpl
 from ..memory.store import Store
-from ..spec.gamma import OSpec
 
 #: Digest size (bytes) — 16 gives a 128-bit key, collision-safe for the
 #: state-space sizes bounded exploration can reach.
@@ -48,11 +46,6 @@ def _encode(obj, out: list) -> None:
         data = obj.encode("utf-8")
         out.append(b"s%d:" % len(data))
         out.append(data)
-    elif isinstance(obj, bytes):
-        out.append(b"b%d:" % len(obj))
-        out.append(obj)
-    elif isinstance(obj, float):
-        out.append(b"f%r;" % obj)
     elif isinstance(obj, Store):
         out.append(b"S(")
         for k, v in obj.items_sorted():
@@ -64,11 +57,6 @@ def _encode(obj, out: list) -> None:
         for item in obj:
             _encode(item, out)
         out.append(b")")
-    elif isinstance(obj, list):
-        out.append(b"l(")
-        for item in obj:
-            _encode(item, out)
-        out.append(b")")
     elif isinstance(obj, (set, frozenset)):
         # Order-independent: encode members individually and sort the
         # encodings (members of heterogeneous sets are not comparable).
@@ -76,27 +64,6 @@ def _encode(obj, out: list) -> None:
         out.append(b"x(")
         out.extend(members)
         out.append(b")")
-    elif isinstance(obj, dict):
-        members = sorted(
-            canonical_bytes((k, v)) for k, v in obj.items())
-        out.append(b"d(")
-        out.extend(members)
-        out.append(b")")
-    elif isinstance(obj, ObjectImpl):
-        out.append(b"O")
-        _encode(obj.name, out)
-        out.append(b"(")
-        for mname in obj.method_names():
-            _encode(obj.methods[mname], out)
-        _encode(obj.initial_memory, out)
-        out.append(b")")
-    elif isinstance(obj, OSpec):
-        # γ's are opaque Python functions; their semantics is pinned by
-        # the source-tree fingerprint that every memo key also includes.
-        out.append(b"G")
-        _encode(obj.name, out)
-        _encode(obj.method_names(), out)
-        _encode(obj.initial, out)
     elif dataclasses.is_dataclass(obj):
         # AST nodes, events, ThreadState, Frame, Config, IConfig, ...
         cls = type(obj)
@@ -126,17 +93,3 @@ def canonical_digest(obj) -> bytes:
     return hashlib.blake2b(canonical_bytes(obj),
                            digest_size=DIGEST_SIZE).digest()
 
-
-def canonical_hex(obj) -> str:
-    """Hex form of :func:`canonical_digest` (for file names and logs)."""
-
-    return canonical_digest(obj).hex()
-
-
-def digest_many(objs: Iterable) -> bytes:
-    """Order-sensitive combined digest of an iterable of values."""
-
-    h = hashlib.blake2b(digest_size=DIGEST_SIZE)
-    for obj in objs:
-        h.update(canonical_digest(obj))
-    return h.digest()

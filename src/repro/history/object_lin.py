@@ -276,8 +276,8 @@ def check_object_linearizable(impl: ObjectImpl, spec: OSpec, menu: CallMenu,
 
     When ``phi`` is given, the initial-state side condition ``φ(σ_o) = θ``
     is verified first.  ``engine`` selects the exploration engine for the
-    product search (sequential / parallel / random-walk, optionally
-    memoized — see :mod:`repro.engine`).
+    product search (sequential / parallel / random-walk — see
+    :mod:`repro.engine`).
     """
 
     if phi is not None:

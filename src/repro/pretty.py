@@ -156,14 +156,11 @@ def render_perf(result: SearchStats) -> str:
     successor edges partial-order reduction pruned and how many
     configurations address-symmetry canonicalization merged.
 
-    A memo-cache hit carries zero elapsed time and possibly zero nodes;
-    the summary then just marks the hit and omits every per-time rate
-    (never a division by zero).
+    A result with zero elapsed time (a search that expanded nothing)
+    omits every per-time rate (never a division by zero).
     """
 
     parts = [f"nodes={result.nodes}"]
-    if result.from_cache:
-        parts.append("memo-hit")
     if result.nodes_per_sec:
         parts.append(f"nodes/sec={result.nodes_per_sec:,.0f}")
     if result.dedup_lookups:

@@ -589,14 +589,17 @@ class Explorer:
         :meth:`_successors`), replayed from ``memo``.
 
         ``pinned(label)`` names the threads an event of the node pinned;
-        without it (a walk) no successor is rotated.  An expansion reads
-        nothing but ``(config, full, sleep, tsym_k)`` and the explorer's
-        fixed policy, and it is a value, so ``memo`` stores the record
-        itself, keyed on exactly these; a hit is the fresh expansion.
+        without it (a walk) no successor is rotated and no sleep set is
+        computed, since a walk runs every node awake.  An expansion
+        reads nothing but ``(config, full, sleep, tsym_k)``, whether
+        there is a ``pinned`` and the explorer's fixed policy, and it is
+        a value, so ``memo`` (one expander's own) stores the record
+        itself, keyed on the first four; a hit is the fresh expansion.
         """
 
         successors = self._successors
         tsym = self._tsym if pinned is not None else None
+        sleep_sets = self._sleep and pinned is not None
 
         def expand(config, label, sleep=NO_SLEEP, full=False):
             tsym_k = None
@@ -610,20 +613,23 @@ class Explorer:
                 if not threads or max(threads) == k:
                     tsym_k = k
             if memo is None:
-                return successors(config, full, sleep, tsym_k)
+                return successors(config, full, sleep, tsym_k, sleep_sets)
             key = (config, full, sleep, tsym_k)
             hit = memo.get(key)
             if hit is None:
-                hit = memo.put(key, successors(config, full, sleep, tsym_k))
+                hit = memo.put(key, successors(config, full, sleep, tsym_k,
+                                               sleep_sets))
             return hit
 
         return expand
 
     def _successors(self, config: Config, full: bool,
-                    sleep: FrozenSet[int], tsym_k: Optional[int]
-                    ) -> Expansion:
+                    sleep: FrozenSet[int], tsym_k: Optional[int],
+                    sleep_sets: bool) -> Expansion:
         """All successor (configuration, event) pairs of ``config``, as
-        an :class:`~repro.semantics.search.Expansion`.
+        an :class:`~repro.semantics.search.Expansion`; with
+        ``sleep_sets`` (and ``full`` false) the successors' sleep sets
+        too.
 
         With partial-order reduction active (and ``full`` false), if some
         thread's next step is invisible — no event, cannot abort — and
@@ -652,7 +658,7 @@ class Explorer:
 
         policy = self.policy
         por = policy.por and not full
-        sleep_on = self._sleep and not full
+        sleep_on = sleep_sets and not full
         slept = pruned = merged = tmerged = 0
         cuts: Tuple[str, ...] = ()
         per_thread: List[Tuple[int, tuple]] = []

@@ -81,8 +81,6 @@ class SearchStats:
     #: read as an exhaustive verdict.
     engine: str = "sequential"
     exhaustive: bool = True
-    #: True when the result was served from the persistent memo cache.
-    from_cache: bool = False
     #: The reduction mode actually in force ("none" / "por" / "por+sym"
     #: after eligibility filtering — see :mod:`repro.reduce`), and why
     #: the eligibility scan withheld reductions (empty when nothing was).
@@ -412,8 +410,8 @@ def walk(starts: Sequence[Node], walks: int, seed: int, result: SearchStats,
             config, label, depth, key = starts[i % len(starts)]
             while True:
                 kept.clear()
-                # A walk runs awake: the sleep set a step carries is
-                # dropped.
+                # A walk runs awake: its expand hooks compute no sleep
+                # sets, and it drops any a step carries.
                 yield config, label, depth, key, NO_SLEEP
                 if not kept:
                     break

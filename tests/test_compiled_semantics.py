@@ -8,19 +8,13 @@ same verdicts, aborts and bounds.  That claim is checked here on every
 registry algorithm at its seed workload and on hypothesis-generated
 parser programs.
 
-The file also pins the three latent hot-path bugs fixed alongside the
-compiler:
-
-* ``MemoCache.stats()`` no longer crashes when a concurrent process
-  unlinks a cache entry between the ``glob`` and the ``stat``;
-* exhausting ``ATOMIC_LOOP_FUEL`` raises :class:`AtomicLoopDivergence`
-  (a ``SemanticsError`` that is also a ``BoundExceeded``) and surfaces
-  as an exploration diagnostic instead of silently truncating the state
-  space — in both semantics modes and in the abstract explorer,
-  whether or not the explorer replays repeated expansions, and on every
-  run of one explorer, product search or abstract explorer;
-* ``memo_key`` materialises generator ``extra``s (hash by contents, not
-  by exhausted-object repr) and rejects strings and non-iterables loudly.
+The file also pins a latent hot-path bug fixed alongside the compiler:
+exhausting ``ATOMIC_LOOP_FUEL`` raises :class:`AtomicLoopDivergence`
+(a ``SemanticsError`` that is also a ``BoundExceeded``) and surfaces as
+an exploration diagnostic instead of silently truncating the state
+space — in both semantics modes and in the abstract explorer, whether
+or not the explorer replays repeated expansions, and on every run of
+one explorer, product search or abstract explorer.
 """
 
 from collections import Counter
@@ -31,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import repro.refinement.observable as observable_mod
 import repro.semantics.scheduler as scheduler_mod
 from repro.algorithms import algorithm_names, get_algorithm
-from repro.engine import EngineSpec, MemoCache, memo_key, resolve_engine
+from repro.engine import EngineSpec, resolve_engine
 from repro.errors import (
     AtomicLoopDivergence,
     BoundExceeded,
@@ -238,8 +232,8 @@ def test_semantics_engine_spellings():
     assert resolve_engine("sequential").semantics == "compiled"
     assert resolve_engine(INTERP).semantics == "interp"
     assert resolve_engine(COMPILED).semantics == "compiled"
-    spec = resolve_engine("parallel+memo+interp")
-    assert spec.kind == "parallel" and spec.memo
+    spec = resolve_engine("parallel+interp")
+    assert spec.kind == "parallel"
     assert spec.semantics == "interp"
     assert "semantics=interp" in spec.describe()
     assert "semantics=" not in resolve_engine("sequential").describe()
@@ -248,23 +242,6 @@ def test_semantics_engine_spellings():
 def test_unknown_semantics_rejected():
     with pytest.raises(ReproError, match="semantics"):
         EngineSpec(semantics="tables")
-
-
-def test_memo_entries_not_shared_across_semantics(tmp_path):
-    alg = get_algorithm("ccas")
-    program = mgc_program(alg.impl, alg.workload.menu, 2, 1)
-
-    first = explore(program, alg.limits, engine=EngineSpec(
-        memo=True, cache_dir=str(tmp_path), semantics="compiled"))
-    other = explore(program, alg.limits, engine=EngineSpec(
-        memo=True, cache_dir=str(tmp_path), semantics="interp"))
-    again = explore(program, alg.limits, engine=EngineSpec(
-        memo=True, cache_dir=str(tmp_path), semantics="compiled"))
-
-    assert not first.from_cache
-    assert not other.from_cache  # interp must miss the compiled entry
-    assert again.from_cache
-    assert again.semantics == "compiled" and other.semantics == "interp"
 
 
 def test_uncompilable_program_degrades_to_interp():
@@ -286,50 +263,6 @@ def test_uncompilable_program_degrades_to_interp():
     assert interp.semantics_reasons == ()
     assert degraded.histories == interp.histories
     assert degraded.nodes == interp.nodes
-
-
-# ---------------------------------------------------------------------------
-# Bugfix regression: MemoCache.stats() vs concurrently vanishing entries
-# ---------------------------------------------------------------------------
-
-
-def test_stats_skips_entry_unlinked_between_glob_and_stat(tmp_path,
-                                                          monkeypatch):
-    cache = MemoCache(tmp_path)
-    assert cache.put("aa", {"nodes": 1})
-    ghost = cache._path("bb")  # globbed by a racing process, then unlinked
-
-    real_entries = list(cache.entries())
-    monkeypatch.setattr(MemoCache, "entries",
-                        lambda self: iter(real_entries + [ghost]))
-    stats = cache.stats()  # must not raise FileNotFoundError
-    assert stats["entries"] == 1
-    assert stats["bytes"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Bugfix regression: memo_key extra normalization
-# ---------------------------------------------------------------------------
-
-
-def test_memo_key_materialises_generators():
-    limits = Limits()
-    fixed = memo_key("explore", (), limits, extra=("por", 3))
-    lazy = memo_key("explore", (), limits,
-                    extra=(x for x in ("por", 3)))
-    assert fixed == lazy
-    assert memo_key("explore", (), limits, extra=["por", 3]) == fixed
-    assert memo_key("explore", (), limits, extra=("por", 4)) != fixed
-
-
-def test_memo_key_rejects_bare_strings_and_non_iterables():
-    limits = Limits()
-    with pytest.raises(TypeError, match="wrap it in"):
-        memo_key("explore", (), limits, extra="por")
-    with pytest.raises(TypeError, match="wrap it in"):
-        memo_key("explore", (), limits, extra=b"por")
-    with pytest.raises(TypeError, match="non-iterable"):
-        memo_key("explore", (), limits, extra=7)
 
 
 # ---------------------------------------------------------------------------
@@ -614,22 +547,6 @@ def test_user_statement_subclass_degrades_witness_to_interp():
     assert degraded.ok and interp.ok
     assert degraded.nodes == interp.nodes
     assert degraded.histories == interp.histories
-
-
-def test_witness_memo_keeps_semantics(tmp_path):
-    alg = get_algorithm("treiber")
-
-    def run(semantics):
-        return _witness(alg.instrumented, alg.workload.menu, EngineSpec(
-            memo=True, cache_dir=str(tmp_path), semantics=semantics))
-
-    first, other, again = run("compiled"), run("interp"), run("compiled")
-    assert not first.from_cache
-    assert not other.from_cache  # interp must miss the compiled entry
-    assert again.from_cache
-    assert again.semantics == first.semantics == "compiled"
-    assert again.semantics_reasons == ()
-    assert other.semantics == "interp"
 
 
 def test_obligations_checked_once_per_distinct_transition():

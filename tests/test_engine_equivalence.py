@@ -213,7 +213,7 @@ def test_reduce_spellings_and_defaults():
     assert resolve_engine("parallel").reduce == DEFAULT_REDUCE
     assert resolve_engine("sequential+noreduce").reduce == "none"
     assert resolve_engine("sequential+por").reduce == "por"
-    assert resolve_engine("parallel+memo+noreduce").reduce == "none"
+    assert resolve_engine("parallel+noreduce").reduce == "none"
     spec = resolve_engine("sequential+por")
     assert "reduce=por" in spec.describe()
     assert "reduce=" not in resolve_engine(None).describe()

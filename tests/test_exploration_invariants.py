@@ -415,6 +415,32 @@ def test_monitor_memo_keeps_the_seeded_product_walk(monkeypatch, name,
     assert _product_walk_record(name, seed) == cached
 
 
+def test_product_walk_computes_no_sleep_sets(monkeypatch):
+    """A walk runs every node awake, so its expansions compute no sleep
+    sets: no footprint-independence test runs, and the walk reaches the
+    counts it reached while it still computed and dropped them.  The
+    exhaustive search keeps its sleep sets."""
+
+    calls = []
+    independent = scheduler_mod.footprints_independent
+
+    def counted(*args):
+        calls.append(args)
+        return independent(*args)
+
+    monkeypatch.setattr(scheduler_mod, "footprints_independent", counted)
+    alg = algorithm("treiber")
+    program = mgc_program(alg.impl, alg.workload.menu, threads=2,
+                          ops_per_thread=1)
+    walked = random_walk_lin(program, alg.spec, alg.limits, walks=256,
+                             seed=0)
+    assert calls == []
+    assert walked.ok and not walked.exhaustive
+    assert (walked.nodes, len(walked.histories)) == (3052, 142)
+    searched = ProductSearch(program, alg.spec, alg.limits).run()
+    assert calls and searched.sleep_skipped > 0
+
+
 @pytest.mark.parametrize("history_complete", [False, True])
 def test_step_memo_keeps_every_failure_record(monkeypatch,
                                               history_complete):
